@@ -6,21 +6,18 @@ to ``None`` and every codec hook sits behind a successful negotiation.
 The strongest regression guard is replaying the swap hot-path bench —
 same workload, same simulated clock — and comparing the *entire*
 scenario result (simulated percentiles, link bytes, every counter)
-against the entry committed in ``BENCH_swap_hotpath.json``.
+against the committed golden ``tests/golden/hotpath.json``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict
-from pathlib import Path
 
 import pytest
 
 from repro.bench.hotpath import HotPathConfig, run_scenario
 from repro.core.fastpath import FastPathConfig
-
-BENCH_PATH = Path(__file__).resolve().parents[2] / "BENCH_swap_hotpath.json"
+from tests import golden
 
 PLANS = {
     "baseline": (False, False),
@@ -31,13 +28,7 @@ PLANS = {
 
 @pytest.fixture(scope="module")
 def committed():
-    if not BENCH_PATH.exists():
-        pytest.skip(
-            "BENCH_swap_hotpath.json not present (bench artifacts are "
-            "generated, not tracked) — run "
-            "`python -m repro.bench.hotpath --quick` first"
-        )
-    return json.loads(BENCH_PATH.read_text())
+    return golden.load("hotpath")
 
 
 def _config(committed) -> HotPathConfig:

@@ -5,32 +5,22 @@ The fleet subsystem is strictly opt-in: ``manager.tenant`` is ``None``
 unless a registry binds one, and every fleet hook sits behind that
 check.  The strongest regression guard is replaying a scenario-bench
 run and comparing the *entire* scored result — stall distributions,
-counters, rung transitions — against the entry committed in
-``BENCH_scenarios.json`` before/alongside the fleet work.
+counters, rung transitions — against the committed golden
+``tests/golden/scenarios.json``.
 """
 
 from __future__ import annotations
-
-import json
-from pathlib import Path
 
 import pytest
 
 from repro.bench.scenarios import build_script, run_once
 from repro.faults.scenarios import SCENARIOS
-
-BENCH_PATH = Path(__file__).resolve().parents[2] / "BENCH_scenarios.json"
+from tests import golden
 
 
 @pytest.fixture(scope="module")
 def committed():
-    if not BENCH_PATH.exists():
-        pytest.skip(
-            "BENCH_scenarios.json not present (bench artifacts are "
-            "generated, not tracked) — run "
-            "`python -m repro.bench.scenarios` first"
-        )
-    return json.loads(BENCH_PATH.read_text())
+    return golden.load("scenarios")
 
 
 @pytest.mark.parametrize("scenario", ["memory_spike", "app_switch_storm"])
