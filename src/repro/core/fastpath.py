@@ -223,6 +223,25 @@ class FastPathState:
         if device_id is not None:
             self.negotiated_codec[device_id] = None
 
+    def stale_keys(
+        self, sid: Sid, key: Optional[str], *, live: Optional[str] = None
+    ) -> List[str]:
+        """Every key ``sid``'s remote copies may sit under, to drop them.
+
+        The delta chain's keys, tip first, with ``key`` (the retained or
+        last-shipped key) in front when the chain does not hold it.
+        ``live`` — a key whose copies stay in use — is left out.
+        """
+        chain = self.chains.get(sid)
+        keys = (
+            [old for old in reversed(chain.keys) if old != live]
+            if chain is not None
+            else []
+        )
+        if key is not None and key != live and key not in keys:
+            keys.insert(0, key)
+        return keys
+
     def forget_cluster(self, sid: Sid) -> List[object]:
         """Drop retention bookkeeping for ``sid``; returns the old holders.
 

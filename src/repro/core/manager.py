@@ -27,14 +27,16 @@ protocol*:
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager, nullcontext
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
     Dict,
     Iterable,
+    Iterator,
     List,
     Optional,
     Tuple,
@@ -52,7 +54,6 @@ from repro.errors import (
     CodecNegotiationError,
     HeapExhaustedError,
     NoSwapDeviceError,
-    ObiError,
     RetryExhaustedError,
     StoreFullError,
     SwapError,
@@ -117,6 +118,93 @@ def lru_victim(space: Any) -> Optional[Sid]:
             best_tick = cluster.last_crossing_tick
             best_sid = sid
     return best_sid
+
+
+def _overlay(config: Any, **shortcuts: Any) -> Any:
+    """``config`` with every keyword shortcut that is not ``None`` applied
+    (the ``enable_*`` methods' keyword overlays)."""
+    overrides = {
+        key: value for key, value in shortcuts.items() if value is not None
+    }
+    return replace(config, **overrides) if overrides else config
+
+
+def _outbound_table(
+    seed: Optional[List[Any]] = None,
+) -> Tuple[List[Any], Callable[[Any], int]]:
+    """The replacement array being built and the encoder's index callback.
+
+    Each outbound swap-cluster-proxy gets the next slot the first time
+    serialization meets it.  ``seed`` pre-fills the slots so a delta's
+    indices stay consistent with its base payload's array.
+    """
+    outbound: List[Any] = list(seed or [])
+    index_by_proxy: Dict[int, int] = {
+        id(proxy): index for index, proxy in enumerate(outbound)
+    }
+
+    def outbound_index_of(proxy: Any) -> int:
+        marker = id(proxy)
+        index = index_by_proxy.get(marker)
+        if index is None:
+            index = len(outbound)
+            index_by_proxy[marker] = index
+            outbound.append(proxy)
+        return index
+
+    return outbound, outbound_index_of
+
+
+@dataclass
+class _Payload:
+    """One serialized version of a cluster, as swap-out ships and commits it."""
+
+    key: str
+    epoch: int
+    digest: str
+    xml_bytes: int
+    #: The replacement array for this version.
+    outbound: List[Any]
+    #: Canonical text (a delta's: the applied document); ``None`` when a
+    #: clean swap-out reuses the retained copies.
+    text: Optional[str] = None
+    #: The same document as binary wire frames (full route, codec on).
+    wire: Optional[bytes] = None
+    #: ``<swap-delta>`` document against ``base_key`` at ``base_epoch``.
+    delta: Optional[str] = None
+    base_key: Optional[str] = None
+    base_epoch: Optional[int] = None
+
+
+class _Landed(list):
+    """The holders that acknowledged one swap-out's payload, in order.
+
+    Adding a holder records its write in the journal entry the ship step
+    opened; ``deltas`` counts the holders that took delta frames.
+    """
+
+    def __init__(self, resilience: Any, entry: Any) -> None:
+        super().__init__()
+        self._resilience = resilience
+        self.entry = entry
+        self.deltas = 0
+
+    def add(self, holder: SwapStore, *, delta: bool = False) -> None:
+        self.append(holder)
+        self.deltas += delta
+        if self.entry is not None:
+            self._resilience.journal.record_write(self.entry, holder.device_id)
+
+
+#: Swap-out tiers that reuse retained copies and ship nothing.
+_CLEAN_TIERS = ("noop", "dropclean")
+
+#: ``ClusterUnderReplicatedEvent.reason`` per tier (default: full/reship).
+_SHORT_REASONS = {
+    "noop": "clean swap-out",
+    "dropclean": "clean swap-out",
+    "delta": "delta swap-out placement short",
+}
 
 
 @dataclass
@@ -217,7 +305,8 @@ class SwappingManager:
         #: ``None`` keeps the pipeline exactly as fast as before.
         self.resilience: Optional["Resilience"] = None
         #: Optional swap fast path (dirty tracking + payload cache +
-        #: metadata-only clean swap-outs).  ``None`` = classic pipeline.
+        #: metadata-only clean swap-outs).  ``None`` = every swap-out
+        #: encodes and ships the whole cluster.
         self.fastpath: Optional[FastPathState] = None
         #: Optional observability runtime (tracing + metrics + profiling).
         #: ``None`` = every span site costs one attribute test.
@@ -281,14 +370,11 @@ class SwappingManager:
         a :class:`~repro.comm.pipeline.TransferScheduler` so replica
         fan-out and encode/transfer overlap on ``n`` link channels.
         """
-        config = config if config is not None else FastPathConfig()
-        overrides: Dict[str, Any] = {}
-        if delta is not None:
-            overrides["delta"] = delta
-        if pipeline_channels is not None:
-            overrides["pipeline_channels"] = pipeline_channels
-        if overrides:
-            config = replace(config, **overrides)
+        config = _overlay(
+            config if config is not None else FastPathConfig(),
+            delta=delta,
+            pipeline_channels=pipeline_channels,
+        )
         self.fastpath = FastPathState(config)
         if config.pipeline_channels > 0:
             from repro.comm.pipeline import TransferScheduler
@@ -299,7 +385,7 @@ class SwappingManager:
         return self.fastpath
 
     def disable_fastpath(self) -> None:
-        """Back to the classic always-encode pipeline.
+        """Back to encoding and shipping the whole cluster on every swap-out.
 
         Clean bits left on clusters are ignored while ``fastpath`` is
         ``None``, so this is safe at any point.
@@ -366,16 +452,12 @@ class SwappingManager:
         """
         from repro.core.sched import AsyncSchedConfig, AsyncSwapScheduler
 
-        config = config if config is not None else AsyncSchedConfig()
-        overrides: Dict[str, Any] = {}
-        if channels is not None:
-            overrides["channels"] = channels
-        if prefetch is not None:
-            overrides["prefetch"] = prefetch
-        if prefetch_depth is not None:
-            overrides["prefetch_depth"] = prefetch_depth
-        if overrides:
-            config = replace(config, **overrides)
+        config = _overlay(
+            config if config is not None else AsyncSchedConfig(),
+            channels=channels,
+            prefetch=prefetch,
+            prefetch_depth=prefetch_depth,
+        )
         self.sched = AsyncSwapScheduler(self, config)
         return self.sched
 
@@ -414,14 +496,11 @@ class SwappingManager:
         """
         from repro.topology import TopologyConfig, TopologyService
 
-        config = config if config is not None else TopologyConfig()
-        overrides: Dict[str, Any] = {}
-        if shards is not None:
-            overrides["shards"] = shards
-        if replicas is not None:
-            overrides["replicas_per_shard"] = replicas
-        if overrides:
-            config = replace(config, **overrides)
+        config = _overlay(
+            config if config is not None else TopologyConfig(),
+            shards=shards,
+            replicas_per_shard=replicas,
+        )
         self.topology = TopologyService(self, config)
         if self.resilience is not None:
             self.resilience.placement.observer = self.topology
@@ -618,9 +697,10 @@ class SwappingManager:
     def swap_out(self, sid: Sid, store: SwapStore | None = None) -> SwapLocation:
         """Detach swap-cluster ``sid`` and ship it to a nearby store.
 
-        With the fast path enabled and the cluster *clean* (unmutated
-        since its last serialization), the encode-and-ship pipeline is
-        bypassed: see :meth:`_swap_out_clean`.
+        Picks one route — clean (no re-encode), local (the degrade
+        ladder's compressed pool), delta or full — and every route that
+        ships runs the same ship step (:meth:`_shipping`) and every
+        route the same commit step (:meth:`_commit`).
         """
         space = self._space
         cluster: SwapCluster = space._cluster(sid)
@@ -675,7 +755,7 @@ class SwappingManager:
         — nothing is encoded, nothing is shipped.  Tier 2 (re-ship): the
         cached canonical text is shipped as-is.  Returns ``None`` when
         neither tier applies (cache evicted, no retained copy); the
-        caller falls back to the full pipeline.
+        caller falls back to a full swap-out.
 
         ``trust_ledger`` is the degrade ladder's DROP_CLEAN rung: the
         retained copies are taken at the ledger's word — no probes at
@@ -684,11 +764,15 @@ class SwappingManager:
         refreshed here).
         """
         fastpath = self.fastpath
-        space = self._space
         sid = cluster.sid
         key = cluster.clean_key
-        digest = cluster.clean_digest
-        outbound = list(cluster.clean_outbound)
+        payload = _Payload(
+            key=key,
+            epoch=cluster.clean_epoch,
+            digest=cluster.clean_digest,
+            xml_bytes=cluster.clean_xml_bytes,
+            outbound=list(cluster.clean_outbound),
+        )
 
         retained = fastpath.retained.get(sid)
         if retained is not None and retained[0] == key:
@@ -735,81 +819,16 @@ class SwappingManager:
                     [holder for holder in retained[1] if holder not in lost],
                 )
             if verified:
-                location = SwapLocation(
-                    device_id=verified[0].device_id,
-                    key=key,
-                    digest=digest,
-                    xml_bytes=cluster.clean_xml_bytes,
-                    epoch=cluster.clean_epoch,
-                )
-                object_count = len(cluster.oids)
-                bytes_freed = self._detach(cluster, outbound, location, verified)
-                # content unchanged -> same epoch, same key, same digest
-                cluster.epoch = cluster.clean_epoch
-                if self.resilience is not None:
-                    placement = self.resilience.placement
-                    record = placement.record_swap_out(
-                        sid,
-                        key=key,
-                        digest=digest,
-                        epoch=cluster.clean_epoch,
-                        xml_bytes=cluster.clean_xml_bytes,
-                        device_ids=[holder.device_id for holder in verified],
-                    )
-                    for holder in verified:
-                        record.applied_epochs[holder.device_id] = (
-                            cluster.clean_epoch
-                        )
-                    if not trust_ledger:
-                        # the contains probes just re-verified these
-                        # copies: bump the verified epoch so the scrubber
-                        # does not re-fetch an unmodified cluster.  The
-                        # trust-ledger path skipped the probes, so the
-                        # verified epoch stays stale on purpose and the
-                        # scrubber re-checks once pressure subsides.
-                        placement.record_verified(
-                            sid, cluster.clean_epoch, space.clock.now()
-                        )
-                    self._warn_if_under_replicated(sid, "clean swap-out")
-                self.stats.swap_outs += 1
-                if trust_ledger:
-                    self.stats.ladder_drop_clean += 1
-                else:
-                    self.stats.fastpath_noops += 1
                 tier = "dropclean" if trust_ledger else "noop"
                 self._obs_tag("tier", tier)
-                space.bus.emit(
-                    SwapFastPathEvent(
-                        space=space.name, sid=sid, tier=tier, key=key
-                    )
-                )
-                space.bus.emit(
-                    SwapOutEvent(
-                        space=space.name,
-                        sid=sid,
-                        device_id=location.device_id,
-                        key=key,
-                        object_count=object_count,
-                        bytes_freed=bytes_freed,
-                        xml_bytes=0,
-                    )
-                )
-                return location
+                return self._commit(cluster, payload, verified, tier=tier)
 
-        text = fastpath.cache.get(digest)
-        if text is None:
+        payload.text = fastpath.cache.get(payload.digest)
+        if payload.text is None:
             return None  # cache evicted and no retained copy: full path
+        payload.xml_bytes = len(payload.text.encode("utf-8"))
         try:
-            return self._ship_and_detach(
-                cluster,
-                text,
-                key=key,
-                epoch=cluster.clean_epoch,
-                digest=digest,
-                outbound=outbound,
-                chosen=chosen,
-                tier="reship",
-            )
+            return self._ship_full(cluster, payload, chosen, tier="reship")
         except BaseException:
             # shipping failed; retained bookkeeping may name stores the
             # abort path just dropped from
@@ -819,22 +838,18 @@ class SwappingManager:
     def _swap_out_local(self, cluster: SwapCluster) -> Optional[SwapLocation]:
         """COMPRESS_LOCAL rung: hibernate into the local compressed pool.
 
-        Reuses the full pipeline (journal, placement, chain bookkeeping)
-        with the pool as the chosen store and replication pinned to one
-        copy — mirroring a CPU-only hibernation onto remote stores would
-        defeat the point of the rung.  Returns ``None`` when the pool is
-        full or the heap cannot even hold the compressed payload; the
-        caller falls through to remote shipping.
+        A full swap-out (journal, placement, chain bookkeeping) with the
+        pool as the chosen store and replication pinned to one copy —
+        mirroring a CPU-only hibernation onto remote stores would defeat
+        the point of the rung.  Returns ``None`` when the pool is full
+        or the heap cannot even hold the compressed payload; the caller
+        falls through to remote shipping.
         """
         space = self._space
         heap = space.heap
         fallback = self.ladder.fallback_store()
-        # the pool compresses into the SAME heap; freeze the victim loop
-        # so a tight heap cannot recurse into us, and pin replication so
-        # no remote mirrors ride along
-        previous_auto = self.auto_swap
+        # pin replication so no remote mirrors ride along
         previous_override = self._replicas_override
-        self.auto_swap = False
         self._replicas_override = 1
         # Displacement (the zswap trick): the victim's own bytes are
         # about to be freed by the detach, so let the compressed copy
@@ -847,17 +862,17 @@ class SwappingManager:
             for oid in cluster.oids
             if heap.holds(oid)
         }
-        for oid in displaced:
-            heap.free_oid(oid)
-        try:
-            location = self._swap_out_full(cluster, fallback)
-        except (StoreFullError, HeapExhaustedError):
-            for oid, size in displaced.items():
-                heap.allocate(oid, size)
-            return None
-        finally:
-            self.auto_swap = previous_auto
-            self._replicas_override = previous_override
+        with self._victim_loop_frozen():
+            for oid in displaced:
+                heap.free_oid(oid)
+            try:
+                location = self._swap_out_full(cluster, fallback)
+            except (StoreFullError, HeapExhaustedError):
+                for oid, size in displaced.items():
+                    heap.allocate(oid, size)
+                return None
+            finally:
+                self._replicas_override = previous_override
         self.stats.ladder_compress_local += 1
         space.bus.emit(
             SwapDegradedEvent(
@@ -869,6 +884,18 @@ class SwappingManager:
         )
         return location
 
+    @contextmanager
+    def _victim_loop_frozen(self) -> Iterator[None]:
+        """Writes into the local compressed pool allocate from the SAME
+        heap: freeze the victim loop so a tight heap cannot recurse into
+        the swap-out in progress."""
+        previous = self.auto_swap
+        self.auto_swap = False
+        try:
+            yield
+        finally:
+            self.auto_swap = previous
+
     def _swap_out_delta(
         self, cluster: SwapCluster, chosen: SwapStore | None
     ) -> Optional[SwapLocation]:
@@ -877,15 +904,14 @@ class SwappingManager:
         Applies when every staleness source since the last payload is
         attributed (:meth:`~repro.core.swap_cluster.SwapCluster.
         delta_eligible`), the base payload text is still cached locally,
-        and at least one retained store holds the delta-chain tip.  Each
-        holder receives a ``<swap-delta>`` document via ``store_delta``;
-        holders without delta support — or diverged ones, whose held
-        base sits at a different epoch — transparently receive the full
-        payload instead.  Returns ``None`` when the delta path cannot
-        apply or would not pay (chain/byte compaction thresholds, a
-        delta bigger than the payload itself); the caller then falls
-        back to the classic full pipeline, which also rewrites the
-        stale chain.
+        and at least one retained store holds the delta-chain tip.  The
+        ship step sends each holder the ``<swap-delta>`` document, or
+        the full applied payload when the holder cannot apply it (see
+        :meth:`_send_delta`).  Returns ``None`` when the delta route
+        cannot apply or would not pay (chain/byte compaction thresholds,
+        a delta bigger than the payload itself, no holder reachable);
+        the caller then falls back to a full swap-out, which also
+        rewrites the stale chain.
         """
         fastpath = self.fastpath
         config = fastpath.config
@@ -893,12 +919,11 @@ class SwappingManager:
         sid = cluster.sid
         base_key = cluster.base_key
         base_epoch = cluster.base_epoch
-        base_digest = cluster.base_digest
 
         retained = fastpath.retained.get(sid)
         if retained is None or retained[0] != base_key or not retained[1]:
             return None  # no store known to hold the base: full path
-        base_text = fastpath.cache.get(base_digest)
+        base_text = fastpath.cache.get(cluster.base_digest)
         if base_text is None:
             return None  # cannot build/verify a delta without the base
         chain = fastpath.chains.get(sid)
@@ -915,20 +940,7 @@ class SwappingManager:
         }
         # Outbound indices must stay consistent with the base payload's
         # replacement array: seed from the base order, append new proxies.
-        outbound: List[Any] = list(cluster.base_outbound or [])
-        index_by_proxy: Dict[int, int] = {
-            id(proxy): index for index, proxy in enumerate(outbound)
-        }
-
-        def outbound_index_of(proxy: Any) -> int:
-            marker = id(proxy)
-            index = index_by_proxy.get(marker)
-            if index is None:
-                index = len(outbound)
-                index_by_proxy[marker] = index
-                outbound.append(proxy)
-            return index
-
+        outbound, outbound_index_of = _outbound_table(cluster.base_outbound)
         epoch = cluster.epoch + 1
         with self._obs_span(
             "swap.out.delta.encode", sid=sid, objects=len(members)
@@ -969,314 +981,99 @@ class SwappingManager:
         )
         if not holders:
             return None  # the caller-chosen store holds no base copy
-        key = format_swap_key(space.name, sid, epoch)
+        payload = _Payload(
+            key=format_swap_key(space.name, sid, epoch),
+            epoch=epoch,
+            digest=digest,
+            xml_bytes=xml_bytes,
+            outbound=outbound,
+            text=applied_text,
+            delta=delta_text,
+            base_key=base_key,
+            base_epoch=base_epoch,
+        )
         self._obs_tag("tier", "delta")
         if self.obs is not None:
             self.obs.observe_payload(delta_nbytes)
-
-        resilience = self.resilience
-        entry = None
-        if resilience is not None:
-            with self._obs_span("swap.out.journal", op="begin", sid=sid):
-                entry = resilience.journal.begin(
-                    sid,
-                    key,
-                    epoch,
-                    xml_bytes,
-                    digest=digest,
-                    base_epoch=base_epoch,
-                    delta=True,
-                )
         record = (
-            resilience.placement.get(sid) if resilience is not None else None
+            self.resilience.placement.get(sid)
+            if self.resilience is not None
+            else None
         )
-        stored_on: List[SwapStore] = []
-        delta_on: List[SwapStore] = []
-        try:
+        with self._shipping(sid, payload) as landed:
             for holder in holders:
-                sink = getattr(holder, "store_delta", None)
-                diverged = False
-                if record is not None:
-                    applied = record.applied_epochs.get(holder.device_id)
-                    diverged = applied is not None and applied != base_epoch
-                shipped: Optional[str] = None
-                if sink is not None and not diverged:
-                    compression = fastpath.negotiate_for(holder)
-                    wire_codec = fastpath.negotiate_codec_for(holder)
-                    if wire_codec == "binary":
-                        # deltas travel as binary-framed canonical text:
-                        # same digest-checked framing, stores unwrap to
-                        # XML at rest so chain resolution is unchanged
-                        data = compress_body(
-                            encode_delta_binary(delta_text), compression
-                        )
-                    else:
-                        data = compress_payload(delta_text, compression)
-                    frame_bytes = config.frame_bytes
-                    frames = [
-                        data[offset : offset + frame_bytes]
-                        for offset in range(0, len(data), frame_bytes)
-                    ] or [b""]
-
-                    def ship(
-                        sink=sink,
-                        frames=frames,
-                        compression=compression,
-                        wire_codec=wire_codec,
-                    ) -> None:
-                        if wire_codec == "binary":
-                            sink(
-                                key,
-                                base_epoch,
-                                frames,
-                                base_key=base_key,
-                                compression=compression,
-                                codec="binary",
-                            )
-                        else:
-                            sink(
-                                key,
-                                base_epoch,
-                                frames,
-                                base_key=base_key,
-                                compression=compression,
-                            )
-
-                    try:
-                        with self._obs_span(
-                            "swap.out.delta.store", device=holder.device_id
-                        ), self._channel(holder, kind="delta"):
-                            if resilience is None:
-                                ship()
-                            else:
-                                resilience.run(
-                                    ship,
-                                    sid=sid,
-                                    device_id=holder.device_id,
-                                    op_name="store-delta",
-                                )
-                        shipped = "delta"
-                    except (
-                        CodecError,
-                        UnknownKeyError,
-                        StoreFullError,
-                        TransportError,
-                        RetryExhaustedError,
-                    ) as exc:
-                        cause = (
-                            exc.__cause__
-                            if isinstance(exc, RetryExhaustedError)
-                            else exc
-                        )
-                        if isinstance(cause, CodecNegotiationError):
-                            fastpath.demote_codec(holder)
-                            self.stats.codec_fallbacks += 1
-                        shipped = None  # diverged/lost base: ship it whole
-                if shipped is None:
-                    try:
-                        with self._obs_span(
-                            "swap.out.store",
-                            device=holder.device_id,
-                            stage="delta-fallback",
-                        ), self._channel(holder):
-                            self._store_payload(holder, key, applied_text, sid)
-                        shipped = "full"
-                        self.stats.fastpath_delta_fallbacks += 1
-                    except (
-                        StoreFullError,
-                        TransportError,
-                        RetryExhaustedError,
-                    ):
-                        continue
-                stored_on.append(holder)
-                if shipped == "delta":
-                    delta_on.append(holder)
-                if entry is not None:
-                    resilience.journal.record_write(entry, holder.device_id)
-            if not stored_on:
-                # no retained holder reachable: the classic pipeline's
-                # failover/degrade machinery takes over
-                if entry is not None:
-                    resilience.journal.abort(entry)
-                return None
-        except BaseException:
-            if entry is not None:
-                for holder in stored_on:
-                    try:
-                        holder.drop(key)
-                    except (TransportError, UnknownKeyError):
-                        pass
-                resilience.journal.abort(entry)
-            raise
-
-        primary = stored_on[0]
-        self.stats.mirror_writes += max(0, len(stored_on) - 1)
-        location = SwapLocation(
-            device_id=primary.device_id,
-            key=key,
-            digest=digest,
-            xml_bytes=xml_bytes,
-            epoch=epoch,
-        )
-        object_count = len(cluster.oids)
-        bytes_freed = self._detach(cluster, outbound, location, stored_on)
-        cluster.epoch = epoch
-        if entry is not None:
-            with self._obs_span("swap.out.journal", op="commit", sid=sid):
-                resilience.journal.commit(entry)
-        if resilience is not None:
-            new_record = resilience.placement.record_swap_out(
-                sid,
-                key=key,
-                digest=digest,
-                epoch=epoch,
-                xml_bytes=xml_bytes,
-                device_ids=[holder.device_id for holder in stored_on],
-            )
-            for holder in stored_on:
-                new_record.applied_epochs[holder.device_id] = epoch
-            self._warn_if_under_replicated(sid, "delta swap-out placement short")
-        self.stats.swap_outs += 1
-        self.stats.fastpath_delta_ships += 1
-        self.stats.bytes_shipped += delta_nbytes if delta_on else xml_bytes
-        self.stats.delta_bytes_shipped += delta_nbytes * len(delta_on)
-        self.stats.delta_bytes_saved += (xml_bytes - delta_nbytes) * len(
-            delta_on
-        )
-
-        fastpath.cache.put(digest, applied_text)
-        cluster.mark_clean(
-            digest=digest,
-            key=key,
-            epoch=epoch,
-            xml_bytes=xml_bytes,
-            outbound=list(outbound),
-        )
-        fastpath.retained[sid] = (key, list(stored_on))
-        chain.keys.append(key)
-        chain.delta_bytes += delta_nbytes
-
-        space.bus.emit(
-            SwapFastPathEvent(space=space.name, sid=sid, tier="delta", key=key)
-        )
-        space.bus.emit(
-            SwapOutEvent(
-                space=space.name,
-                sid=sid,
-                device_id=primary.device_id,
-                key=key,
-                object_count=object_count,
-                bytes_freed=bytes_freed,
-                xml_bytes=delta_nbytes if delta_on else xml_bytes,
-            )
-        )
-        return location
-
-    def _channel(self, holder: Any, kind: str = "ship"):
-        """A scheduler channel for ``holder``'s link (no-op when serial).
-
-        With the async scheduler active the ship rides its channel pool
-        as a SHIP/DELTA-SHIP op (and, in serial mode, delegates back to
-        exactly the legacy behavior); otherwise the fast path's own
-        pipeline scheduler — or plain inline execution — applies.
-        """
-        if self.sched is not None:
-            return self.sched.ship_channel(holder, kind)
-        fastpath = self.fastpath
-        scheduler = fastpath.scheduler if fastpath is not None else None
-        if scheduler is None:
-            return nullcontext()
-        return scheduler.channel(getattr(holder, "_link", None))
+                shipped = self._send_delta(holder, payload, sid, record)
+                if shipped is not None:
+                    landed.add(holder, delta=shipped == "delta")
+        if not landed:
+            # no retained holder reachable: the full route's
+            # failover/degrade machinery takes over
+            return None
+        return self._commit(cluster, payload, landed, tier="delta")
 
     def _swap_out_full(
         self, cluster: SwapCluster, chosen: SwapStore | None
     ) -> SwapLocation:
-        """The classic pipeline: encode, ship, detach (epoch bump)."""
+        """Encode the whole cluster, ship it, detach (epoch bump)."""
         space = self._space
         sid = cluster.sid
+        epoch = cluster.epoch + 1
         members = {oid: space._objects[oid] for oid in cluster.oids}
-
-        # Collect the cluster's outbound swap-cluster-proxies in the order
-        # serialization encounters them; they become the replacement array.
-        outbound: List[Any] = []
-        index_by_proxy: Dict[int, int] = {}
-
-        def outbound_index_of(proxy: Any) -> int:
-            marker = id(proxy)
-            index = index_by_proxy.get(marker)
-            if index is None:
-                index = len(outbound)
-                index_by_proxy[marker] = index
-                outbound.append(proxy)
-            return index
-
+        # the cluster's outbound swap-cluster-proxies, in the order
+        # serialization encounters them, become the replacement array
+        outbound, outbound_index_of = _outbound_table()
         fastpath = self.fastpath
-        wire_payload: Optional[bytes] = None
-        if fastpath is not None and fastpath.config.codec == "binary":
-            # one walk emits the binary frames AND the canonical text;
-            # the digest is still computed over the canonical XML form
-            with self._obs_span(
-                "swap.out.encode.binary", sid=sid, objects=len(members)
-            ):
-                xml_text, digest, wire_payload = encode_cluster_binary(
-                    sid=sid,
-                    space=space.name,
-                    epoch=cluster.epoch + 1,
-                    objects=members,
-                    oid_of=lambda obj: obj._obi_oid,
-                    outbound_index_of=outbound_index_of,
-                )
-        else:
-            # one pass: canonical text and its digest come out together
-            with self._obs_span(
-                "swap.out.encode", sid=sid, objects=len(members)
-            ):
-                xml_text, digest = encode_cluster_canonical(
-                    sid=sid,
-                    space=space.name,
-                    epoch=cluster.epoch + 1,
-                    objects=members,
-                    oid_of=lambda obj: obj._obi_oid,
-                    outbound_index_of=outbound_index_of,
-                )
+        binary = fastpath is not None and fastpath.config.codec == "binary"
+        # one pass: canonical text and its digest come out together —
+        # under the binary codec with the wire frames as well (the
+        # digest is still computed over the canonical XML form)
+        with self._obs_span(
+            "swap.out.encode.binary" if binary else "swap.out.encode",
+            sid=sid,
+            objects=len(members),
+        ):
+            encoded = (
+                encode_cluster_binary if binary else encode_cluster_canonical
+            )(
+                sid=sid,
+                space=space.name,
+                epoch=epoch,
+                objects=members,
+                oid_of=lambda obj: obj._obi_oid,
+                outbound_index_of=outbound_index_of,
+            )
         self.stats.encode_calls += 1
-        key = format_swap_key(space.name, sid, cluster.epoch + 1)
-        return self._ship_and_detach(
-            cluster,
-            xml_text,
-            key=key,
-            epoch=cluster.epoch + 1,
+        xml_text, digest = encoded[0], encoded[1]
+        payload = _Payload(
+            key=format_swap_key(space.name, sid, epoch),
+            epoch=epoch,
             digest=digest,
+            xml_bytes=len(xml_text.encode("utf-8")),
             outbound=outbound,
-            chosen=chosen,
-            tier="full",
-            wire_payload=wire_payload,
+            text=xml_text,
+            wire=encoded[2] if binary else None,
         )
+        return self._ship_full(cluster, payload, chosen, tier="full")
 
-    def _ship_and_detach(
+    def _ship_full(
         self,
         cluster: SwapCluster,
-        xml_text: str,
-        *,
-        key: str,
-        epoch: int,
-        digest: str,
-        outbound: List[Any],
+        payload: _Payload,
         chosen: SwapStore | None,
+        *,
         tier: str,
-        wire_payload: Optional[bytes] = None,
     ) -> SwapLocation:
-        """Ship one serialized payload (with mirrors, failover, degrade)
-        and detach the cluster.  The payload is encoded exactly once by
-        the caller; retries and alternate stores all reuse ``xml_text``.
-        ``wire_payload`` carries the same document as binary frames for
-        holders that negotiated the binary codec; every fallback path
-        (degrade pool, stores without the codec) uses ``xml_text``.
+        """Ship a whole payload (mirrors, failover, degrade) and commit.
+
+        Serves the full and reship routes.  The payload is encoded
+        exactly once by the caller; retries and alternate stores all
+        reuse it.  ``payload.wire`` carries the same document as binary
+        frames for holders that negotiated the binary codec; the degrade
+        pool and stores without the codec get the canonical text.
         """
         space = self._space
         sid = cluster.sid
-        store = chosen
-        xml_bytes = len(xml_text.encode("utf-8"))
+        xml_bytes = payload.xml_bytes
         self._obs_tag("tier", tier)
         if self.obs is not None:
             self.obs.observe_payload(xml_bytes)
@@ -1286,7 +1083,7 @@ class SwappingManager:
             resilience is not None and resilience.config.degrade_to_local
         )
         admitted = True
-        if store is None and self.tenant is not None:
+        if chosen is None and self.tenant is not None:
             # fleet admission: a tenant over its store-byte quota — or
             # over its fair share while the fleet is under global store
             # pressure — may not take more shared store room.  Denial
@@ -1310,9 +1107,9 @@ class SwappingManager:
                         f"tenant {self.tenant.tenant_id!r} denied store "
                         f"admission for {xml_bytes} bytes: {denial_reason}"
                     )
-        if store is None and not admitted:
+        if chosen is None and not admitted:
             holders = []
-        elif store is None:
+        elif chosen is None:
             try:
                 holders = self.select_stores(
                     xml_bytes, self.target_replicas(), sid=sid
@@ -1324,7 +1121,7 @@ class SwappingManager:
                     raise
                 holders = []
         else:
-            holders = [store]
+            holders = [chosen]
             if self.target_replicas() > 1:
                 for candidate in self.available_stores():
                     if len(holders) >= self.target_replicas():
@@ -1336,42 +1133,29 @@ class SwappingManager:
                             holders.append(candidate)
                     except TransportError:
                         continue
-        entry = None
-        if resilience is not None:
-            with self._obs_span("swap.out.journal", op="begin", sid=sid):
-                entry = resilience.journal.begin(
-                    sid, key, epoch, xml_bytes, digest=digest
-                )
-        stored_on: List[SwapStore] = []
+
         first_failure: Optional[BaseException] = None
-        try:
-            tried: List[SwapStore] = []
+        tried: List[SwapStore] = []
+        with self._shipping(sid, payload) as landed:
             for holder in holders:
                 tried.append(holder)
                 try:
-                    with self._obs_span(
-                        "swap.out.store",
-                        device=holder.device_id,
-                        stage="mirror" if stored_on else "primary",
-                    ), self._channel(holder):
-                        self._store_payload(
-                            holder, key, xml_text, sid, wire_payload
-                        )
+                    self._send_full(
+                        holder, payload, sid, "mirror" if landed else "primary"
+                    )
                 except StoreFullError:
                     # a caller-chosen store that refuses is the caller's
                     # problem; auto-selected mirrors are best-effort
-                    if store is not None and holder is store:
+                    if holder is chosen:
                         raise
                     continue
                 except (TransportError, RetryExhaustedError) as exc:
                     if first_failure is None:
                         first_failure = exc
                     continue
-                stored_on.append(holder)
-                if entry is not None:
-                    resilience.journal.record_write(entry, holder.device_id)
+                landed.add(holder)
 
-            if not stored_on and resilience is not None and store is None and admitted:
+            if not landed and resilience is not None and chosen is None and admitted:
                 # failover: every selected holder is gone — try the
                 # remaining candidates the selection pass skipped
                 for candidate in self.available_stores():
@@ -1381,18 +1165,12 @@ class SwappingManager:
                     try:
                         if not candidate.has_room(xml_bytes):
                             continue
-                        with self._obs_span(
-                            "swap.out.store",
-                            device=candidate.device_id,
-                            stage="failover",
-                        ):
-                            self._store_payload(
-                                candidate, key, xml_text, sid, wire_payload
-                            )
+                        self._send_full(
+                            candidate, payload, sid, "failover", channel=False
+                        )
                     except (StoreFullError, TransportError, RetryExhaustedError):
                         continue
-                    stored_on.append(candidate)
-                    resilience.journal.record_write(entry, candidate.device_id)
+                    landed.add(candidate)
                     self.stats.failovers += 1
                     space.bus.emit(
                         SwapFailoverEvent(
@@ -1407,27 +1185,20 @@ class SwappingManager:
                     )
                     break
 
-            if not stored_on and degrade and store is None:
+            if not landed and degrade and chosen is None:
                 fallback = resilience.fallback_store()
-                # the pool compresses into the SAME heap; freeze the
-                # victim loop so a tight heap cannot recurse into us
-                previous_auto = self.auto_swap
-                self.auto_swap = False
                 try:
-                    with self._obs_span(
+                    with self._victim_loop_frozen(), self._obs_span(
                         "swap.out.store",
                         device=fallback.device_id,
                         stage="degrade",
                     ):
-                        fallback.store(key, xml_text)
-                    stored_on.append(fallback)
+                        fallback.store(payload.key, payload.text)
+                    landed.add(fallback)
                 except (StoreFullError, HeapExhaustedError) as exc:
                     if first_failure is None:
                         first_failure = exc
-                finally:
-                    self.auto_swap = previous_auto
-                if stored_on:
-                    resilience.journal.record_write(entry, fallback.device_id)
+                if landed:
                     self.stats.degraded_swaps += 1
                     space.bus.emit(
                         SwapDegradedEvent(
@@ -1440,7 +1211,7 @@ class SwappingManager:
                         )
                     )
 
-            if not stored_on:
+            if not landed:
                 if resilience is not None:
                     raise AllStoresUnreachableError(
                         f"swap-out of cluster {sid}: no device accepted the "
@@ -1449,106 +1220,290 @@ class SwappingManager:
                 raise SwapStoreUnavailableError(
                     "no selected device accepted the swapped cluster"
                 ) from first_failure
+        return self._commit(cluster, payload, landed, tier=tier)
+
+    @contextmanager
+    def _shipping(self, sid: Sid, payload: _Payload) -> Iterator["_Landed"]:
+        """The ship step every shipping route runs, around its ships.
+
+        Opens the write-ahead journal entry; the route ships to each
+        holder (inside its span and scheduler channel, see
+        :meth:`_send_full` / :meth:`_send_delta`) and adds every holder
+        that acknowledged to the yielded list, which records the write.
+        Nothing is detached here, so on any exception the copies that
+        did land are orphans: they are dropped (best-effort) and the
+        entry aborted.  A pass where no holder took the payload aborts
+        the entry too.
+        """
+        resilience = self.resilience
+        entry = None
+        if resilience is not None:
+            with self._obs_span("swap.out.journal", op="begin", sid=sid):
+                entry = resilience.journal.begin(
+                    sid,
+                    payload.key,
+                    payload.epoch,
+                    payload.xml_bytes,
+                    digest=payload.digest,
+                    base_epoch=payload.base_epoch,
+                    delta=payload.delta is not None,
+                )
+        landed = _Landed(resilience, entry)
+        try:
+            yield landed
         except BaseException:
-            # nothing was detached: any copies that did land are orphans
             if entry is not None:
-                for holder in stored_on:
-                    try:
-                        holder.drop(key)
-                    except (TransportError, UnknownKeyError):
-                        pass
+                self._drop_copies(landed, [payload.key])
                 resilience.journal.abort(entry)
             raise
-        primary = stored_on[0]
-        self.stats.mirror_writes += max(0, len(stored_on) - 1)
+        if entry is not None and not landed:
+            resilience.journal.abort(entry)
 
+    def _send_full(
+        self,
+        holder: SwapStore,
+        payload: _Payload,
+        sid: Sid,
+        stage: str,
+        *,
+        channel: bool = True,
+    ) -> None:
+        """Ship the whole payload to one holder inside its span (and,
+        unless ``channel`` is off, its scheduler channel)."""
+        with self._obs_span(
+            "swap.out.store", device=holder.device_id, stage=stage
+        ), self._channel(holder) if channel else nullcontext():
+            self._store_payload(
+                holder, payload.key, payload.text, sid, payload.wire
+            )
+
+    def _send_delta(
+        self,
+        holder: SwapStore,
+        payload: _Payload,
+        sid: Sid,
+        record: Any,
+    ) -> Optional[str]:
+        """Delta frames when ``holder`` can apply them, else the full payload.
+
+        A holder gets the ``<swap-delta>`` document through
+        ``store_delta`` unless it has no delta support or its applied
+        epoch in the placement ledger is not the delta's base (a
+        diverged replica).  A refused delta — lost base, codec
+        rejection, transport failure — falls back to the full applied
+        payload on the same holder.  Returns ``"delta"`` or ``"full"``
+        for what landed, ``None`` when the holder took neither.
+        """
+        sink = getattr(holder, "store_delta", None)
+        applied = (
+            record.applied_epochs.get(holder.device_id)
+            if record is not None
+            else None
+        )
+        if sink is not None and applied in (None, payload.base_epoch):
+            frames, compression, codec = self._frames(
+                holder, payload.delta, delta=True
+            )
+
+            ship = partial(
+                sink,
+                payload.key,
+                payload.base_epoch,
+                frames,
+                base_key=payload.base_key,
+                compression=compression,
+                codec=codec,
+            )
+            try:
+                with self._obs_span(
+                    "swap.out.delta.store", device=holder.device_id
+                ), self._channel(holder, kind="delta"):
+                    self._run(ship, holder, sid, op_name="store-delta")
+                return "delta"
+            except (
+                CodecError,
+                UnknownKeyError,
+                StoreFullError,
+                TransportError,
+                RetryExhaustedError,
+            ) as exc:
+                self._demote_if_codec_refused(holder, exc)
+        try:
+            self._send_full(holder, payload, sid, "delta-fallback")
+        except (StoreFullError, TransportError, RetryExhaustedError):
+            return None
+        self.stats.fastpath_delta_fallbacks += 1
+        return "full"
+
+    def _commit(
+        self,
+        cluster: SwapCluster,
+        payload: _Payload,
+        stored_on: List[SwapStore],
+        *,
+        tier: str,
+    ) -> SwapLocation:
+        """The commit step every swap-out route runs.
+
+        ``tier`` names the route: ``noop`` / ``dropclean`` (clean: the
+        retained copies in ``stored_on`` are reused as they are),
+        ``reship``, ``delta`` or ``full`` (``stored_on`` is then the
+        ship step's :class:`_Landed`).  In order: detach the cluster —
+        strictly after at least one store acknowledged the payload, so
+        the hand-off is durable — commit the journal entry, record the
+        placement ledger, count, update the fast path's cache, retention
+        and delta chain, then emit the events.
+        """
+        space = self._space
+        sid = cluster.sid
+        key = payload.key
+        epoch = payload.epoch
+        shipped = tier not in _CLEAN_TIERS
+        if shipped:
+            self.stats.mirror_writes += max(0, len(stored_on) - 1)
         location = SwapLocation(
-            device_id=primary.device_id,
+            device_id=stored_on[0].device_id,
             key=key,
-            digest=digest,
-            xml_bytes=xml_bytes,
+            digest=payload.digest,
+            xml_bytes=payload.xml_bytes,
             epoch=epoch,
         )
-
         object_count = len(cluster.oids)
-        bytes_freed = self._detach(cluster, outbound, location, stored_on)
+        bytes_freed = self._detach(cluster, payload.outbound, location, stored_on)
         cluster.epoch = epoch
+        resilience = self.resilience
+        entry = stored_on.entry if shipped else None
         if entry is not None:
-            # the detach happened strictly after at least one store
-            # acknowledged the payload; the hand-off is durable
             with self._obs_span("swap.out.journal", op="commit", sid=sid):
                 resilience.journal.commit(entry)
         if resilience is not None:
             record = resilience.placement.record_swap_out(
                 sid,
                 key=key,
-                digest=digest,
+                digest=payload.digest,
                 epoch=epoch,
-                xml_bytes=xml_bytes,
+                xml_bytes=payload.xml_bytes,
                 device_ids=[holder.device_id for holder in stored_on],
             )
             for holder in stored_on:
                 record.applied_epochs[holder.device_id] = epoch
-            self._warn_if_under_replicated(sid, "swap-out placement short")
-        self.stats.swap_outs += 1
-        self.stats.bytes_shipped += xml_bytes
-
-        fastpath = self.fastpath
-        if fastpath is not None:
-            previous = fastpath.retained.pop(sid, None)
-            if previous is not None and previous[0] != key:
-                # the content changed: stale copies under the old keys —
-                # the whole delta chain, tip first — are dead weight
-                chain = fastpath.chains.pop(sid, None)
-                stale = (
-                    [old for old in reversed(chain.keys) if old != key]
-                    if chain is not None
-                    else []
+            if tier == "noop":
+                # the contains probes just re-verified these copies:
+                # bump the verified epoch so the scrubber does not
+                # re-fetch an unmodified cluster.  DROP_CLEAN skipped
+                # the probes, so its verified epoch stays stale on
+                # purpose and the scrubber re-checks once pressure
+                # subsides.
+                resilience.placement.record_verified(
+                    sid, epoch, space.clock.now()
                 )
-                if previous[0] not in stale:
-                    stale.insert(0, previous[0])
-                for stale_key in stale:
-                    for holder in previous[1]:
-                        try:
-                            holder.drop(stale_key)
-                        except (TransportError, UnknownKeyError):
-                            pass
-            fastpath.cache.put(digest, xml_text)
-            cluster.mark_clean(
-                digest=digest,
-                key=key,
-                epoch=epoch,
-                xml_bytes=xml_bytes,
-                outbound=list(outbound),
+            self._warn_if_under_replicated(
+                sid, _SHORT_REASONS.get(tier, "swap-out placement short")
             )
-            fastpath.retained[sid] = (key, list(stored_on))
-            if fastpath.config.delta:
-                chain = fastpath.chains.get(sid)
-                if chain is None or not chain.keys or chain.keys[-1] != key:
-                    # this payload starts a fresh chain (full rewrite)
-                    fastpath.chains[sid] = DeltaChain(
-                        keys=[key], base_bytes=xml_bytes
-                    )
+
+        self.stats.swap_outs += 1
+        xml_bytes_shipped = 0
+        if tier == "noop":
+            self.stats.fastpath_noops += 1
+        elif tier == "dropclean":
+            self.stats.ladder_drop_clean += 1
+        elif tier == "delta":
+            deltas = stored_on.deltas
+            delta_nbytes = len(payload.delta.encode("utf-8"))
+            xml_bytes_shipped = delta_nbytes if deltas else payload.xml_bytes
+            self.stats.fastpath_delta_ships += 1
+            self.stats.delta_bytes_shipped += delta_nbytes * deltas
+            self.stats.delta_bytes_saved += (
+                payload.xml_bytes - delta_nbytes
+            ) * deltas
+        else:
+            xml_bytes_shipped = payload.xml_bytes
             if tier == "reship":
                 self.stats.fastpath_reships += 1
-                space.bus.emit(
-                    SwapFastPathEvent(
-                        space=space.name, sid=sid, tier="reship", key=key
+        self.stats.bytes_shipped += xml_bytes_shipped
+
+        fastpath = self.fastpath
+        if fastpath is not None and shipped:
+            if payload.delta is None:
+                previous = fastpath.retained.pop(sid, None)
+                if previous is not None and previous[0] != key:
+                    # the content changed: stale copies under the old
+                    # keys — the whole delta chain, tip first — are
+                    # dead weight
+                    self._drop_copies(
+                        previous[1],
+                        fastpath.stale_keys(sid, previous[0], live=key),
                     )
+                    fastpath.chains.pop(sid, None)
+            fastpath.cache.put(payload.digest, payload.text)
+            cluster.mark_clean(
+                digest=payload.digest,
+                key=key,
+                epoch=epoch,
+                xml_bytes=payload.xml_bytes,
+                outbound=list(payload.outbound),
+            )
+            fastpath.retained[sid] = (key, list(stored_on))
+            chain = fastpath.chains.get(sid)
+            if payload.delta is not None:
+                chain.keys.append(key)
+                chain.delta_bytes += delta_nbytes
+            elif fastpath.config.delta and (
+                chain is None or not chain.keys or chain.keys[-1] != key
+            ):
+                # this payload starts a fresh chain (full rewrite)
+                fastpath.chains[sid] = DeltaChain(
+                    keys=[key], base_bytes=payload.xml_bytes
                 )
 
+        if tier != "full":
+            space.bus.emit(
+                SwapFastPathEvent(space=space.name, sid=sid, tier=tier, key=key)
+            )
         space.bus.emit(
             SwapOutEvent(
                 space=space.name,
                 sid=sid,
-                device_id=primary.device_id,
+                device_id=location.device_id,
                 key=key,
                 object_count=object_count,
                 bytes_freed=bytes_freed,
-                xml_bytes=xml_bytes,
+                xml_bytes=xml_bytes_shipped,
             )
         )
         return location
+
+    def _channel(self, holder: Any, kind: str = "ship"):
+        """A scheduler channel for ``holder``'s link (no-op when serial).
+
+        With the async scheduler active the ship rides its channel pool
+        as a SHIP/DELTA-SHIP op (and, in serial mode, delegates back to
+        exactly the legacy behavior); otherwise the fast path's own
+        pipeline scheduler — or plain inline execution — applies.
+        """
+        if self.sched is not None:
+            return self.sched.ship_channel(holder, kind)
+        fastpath = self.fastpath
+        scheduler = fastpath.scheduler if fastpath is not None else None
+        if scheduler is None:
+            return nullcontext()
+        return scheduler.channel(getattr(holder, "_link", None))
+
+    def _drop_copies(
+        self, holders: Iterable[SwapStore], keys: Iterable[str]
+    ) -> None:
+        """Best-effort drop of every key from every holder, key by key.
+
+        An unreachable device keeps its copy: it is orphaned, harmless
+        (epochs prevent reuse), and the scrubber's orphan sweep finds it.
+        """
+        holders = list(holders)
+        for key in keys:
+            for holder in holders:
+                try:
+                    holder.drop(key)
+                except (TransportError, UnknownKeyError):
+                    pass
 
     def _detach(
         self,
@@ -1692,9 +1647,6 @@ class SwappingManager:
                 from repro.wire.schema import ensure_valid_cluster
 
                 ensure_valid_cluster(xml_text)
-            resolve_extern = None
-            if space.extern_resolver is not None:
-                resolve_extern = lambda attrs: space.extern_resolver(attrs, sid)  # noqa: E731
             stashed = self._bin_decoded.pop(sid, None)
             if stashed is not None and stashed[0] == location.digest:
                 # the fetch pass already decoded the binary frames (and
@@ -1708,7 +1660,7 @@ class SwappingManager:
                         xml_text,
                         registry=space._registry,
                         resolve_out=replacement.outbound_at,
-                        resolve_extern=resolve_extern,
+                        resolve_extern=self._extern_resolver(sid),
                     )
             if set(document.objects) != cluster.oids:
                 raise CodecError(
@@ -1757,11 +1709,7 @@ class SwappingManager:
             if corrupt_holders:
                 # a corrupt copy must never be retained for fast-path
                 # probes (contains cannot see bitrot): drop it now
-                for bad in corrupt_holders:
-                    try:
-                        bad.drop(location.key)
-                    except (TransportError, UnknownKeyError):
-                        pass
+                self._drop_copies(corrupt_holders, [location.key])
                 holders = [
                     holder for holder in holders if holder not in corrupt_holders
                 ]
@@ -1778,30 +1726,16 @@ class SwappingManager:
                 # the delta chain stays valid for a later delta ship)
                 fastpath.retained[sid] = (location.key, list(holders))
             else:
-                chain = (
+                stale = [location.key]
+                if fastpath is not None:
+                    stale = fastpath.stale_keys(sid, location.key)
                     fastpath.chains.pop(sid, None)
-                    if fastpath is not None
-                    else None
-                )
-                if not self.keep_swapped_copies:
-                    stale = (
-                        list(reversed(chain.keys))
-                        if chain is not None
-                        else []
-                    )
-                    if location.key not in stale:
-                        stale.insert(0, location.key)
-                    if self.sched is not None and self.sched.defer_drops(
-                        sid, stale, list(holders)
-                    ):
-                        pass  # invalidations ride the transfer channels
-                    else:
-                        for stale_key in stale:
-                            for holder in holders:
-                                try:
-                                    holder.drop(stale_key)
-                                except (TransportError, UnknownKeyError):
-                                    pass  # stale copies are harmless; epochs prevent reuse
+                if not self.keep_swapped_copies and not (
+                    self.sched is not None
+                    and self.sched.defer_drops(sid, stale, list(holders))
+                ):
+                    # without a scheduler channel to ride, drop inline
+                    self._drop_copies(holders, stale)
             if fastpath is not None:
                 fastpath.cache.put(location.digest, xml_text)
                 # the replicas were just decoded from this payload: the
@@ -1864,35 +1798,49 @@ class SwappingManager:
         XML and the same payload re-ships transparently as text.
         """
         try:
-            self._run_ship(
+            self._run(
                 self._shipper(holder, key, xml_text, wire_payload),
                 holder,
                 sid,
             )
             return
-        except CodecNegotiationError:
-            pass
-        except RetryExhaustedError as exc:
-            if not isinstance(exc.__cause__, CodecNegotiationError):
+        except (CodecNegotiationError, RetryExhaustedError) as exc:
+            if not self._demote_if_codec_refused(holder, exc):
                 raise
-        # the store refused the negotiated framing: pin it to canonical
-        # XML and re-ship the identical document as text
-        assert self.fastpath is not None
+        # the store refused the negotiated framing: re-ship the
+        # identical document as text
+        self._run(self._shipper(holder, key, xml_text, None), holder, sid)
+
+    def _demote_if_codec_refused(
+        self, holder: SwapStore, exc: BaseException
+    ) -> bool:
+        """Pin ``holder`` to canonical XML if ``exc`` — or the failure a
+        retry gave up on — is a codec refusal; returns whether it was."""
+        cause = exc.__cause__ if isinstance(exc, RetryExhaustedError) else exc
+        if not isinstance(cause, CodecNegotiationError):
+            return False
         self.fastpath.demote_codec(holder)
         self.stats.codec_fallbacks += 1
-        self._run_ship(self._shipper(holder, key, xml_text, None), holder, sid)
+        return True
 
-    def _run_ship(
-        self, ship: Callable[[], None], holder: SwapStore, sid: Sid
-    ) -> None:
+    def _run(
+        self,
+        operation: Callable[[], Any],
+        holder: SwapStore,
+        sid: Sid,
+        op_name: str = "store",
+        **policy: Any,
+    ) -> Any:
+        """Run one store operation, retried under the resilience policy
+        when it is enabled."""
         if self.resilience is None:
-            ship()
-            return
-        self.resilience.run(
-            ship,
+            return operation()
+        return self.resilience.run(
+            operation,
             sid=sid,
             device_id=holder.device_id,
-            op_name="store",
+            op_name=op_name,
+            **policy,
         )
 
     def _shipper(
@@ -1902,34 +1850,55 @@ class SwappingManager:
         xml_text: str,
         wire_payload: Optional[bytes] = None,
     ) -> Callable[[], None]:
-        fastpath = self.fastpath
         stream = getattr(holder, "store_stream", None)
-        if fastpath is None or stream is None:
+        if self.fastpath is None or stream is None:
             return lambda: holder.store(key, xml_text)
+        frames, compression, codec = self._frames(holder, xml_text, wire_payload)
+
+        def ship() -> None:
+            stream(key, frames, compression, codec=codec)
+            if codec == "binary":
+                # count only ships that land: a CodecNegotiationError
+                # refusal falls back to XML and must not inflate the tally
+                self.stats.codec_binary_ships += 1
+
+        return ship
+
+    def _frames(
+        self,
+        holder: SwapStore,
+        text: str,
+        wire: Optional[bytes] = None,
+        *,
+        delta: bool = False,
+    ) -> Tuple[List[bytes], Optional[str], Optional[str]]:
+        """Compress and chunk one payload for ``holder``.
+
+        Returns ``(frames, compression, codec)``.  Binary framing is used
+        when ``holder`` negotiated the binary codec and there is a binary
+        form: ``wire`` for a full payload, or ``delta=True`` — ``text``
+        is then a ``<swap-delta>`` document, which travels as
+        binary-framed canonical text (same digest-checked framing; the
+        store unwraps it to XML at rest, so chain resolution is
+        unchanged).  Everything else travels as compressed text.
+        """
+        fastpath = self.fastpath
         compression = fastpath.negotiate_for(holder)
-        if (
-            wire_payload is not None
-            and fastpath.negotiate_codec_for(holder) == "binary"
-        ):
-            data = compress_body(wire_payload, compression)
-            codec: Optional[str] = "binary"
+        codec: Optional[str] = None
+        if (delta or wire is not None) and fastpath.negotiate_codec_for(
+            holder
+        ) == "binary":
+            codec = "binary"
+            body = encode_delta_binary(text) if delta else wire
+            data = compress_body(body, compression)
         else:
-            data = compress_payload(xml_text, compression)
-            codec = None
+            data = compress_payload(text, compression)
         frame_bytes = fastpath.config.frame_bytes
         frames = [
             data[offset : offset + frame_bytes]
             for offset in range(0, len(data), frame_bytes)
         ] or [b""]
-        if codec == "binary":
-            # count only ships that land: a CodecNegotiationError refusal
-            # falls back to XML and must not inflate the binary tally
-            def ship_binary() -> None:
-                stream(key, frames, compression, codec="binary")
-                self.stats.codec_binary_ships += 1
-
-            return ship_binary
-        return lambda: stream(key, frames, compression)
+        return frames, compression, codec
 
     def _fetch_verified(
         self, holder: SwapStore, location: SwapLocation, sid: Sid
@@ -1964,15 +1933,20 @@ class SwappingManager:
                     )
             return text
 
-        if self.resilience is None:
-            return attempt()
-        return self.resilience.run(
+        return self._run(
             attempt,
-            sid=sid,
-            device_id=holder.device_id,
+            holder,
+            sid,
             op_name="fetch",
             retry_on=(TransportError, CorruptPayloadError),
         )
+
+    def _extern_resolver(self, sid: Sid) -> Optional[Callable[[Any], Any]]:
+        """The space's external-reference resolver bound to ``sid``."""
+        resolver = self._space.extern_resolver
+        if resolver is None:
+            return None
+        return lambda attrs: resolver(attrs, sid)
 
     def _decode_wire(
         self, raw: bytes, holder: SwapStore, location: SwapLocation, sid: Sid
@@ -1993,16 +1967,13 @@ class SwappingManager:
                 f"binary fetch for {location.key}: swap-cluster {sid} has "
                 f"no replacement table to resolve outbound references"
             )
-        resolve_extern = None
-        if space.extern_resolver is not None:
-            resolve_extern = lambda attrs: space.extern_resolver(attrs, sid)  # noqa: E731
         with self._obs_span("swap.in.decode.binary", device=holder.device_id):
             try:
                 document, text, digest = decode_cluster_binary(
                     raw,
                     registry=space._registry,
                     resolve_out=replacement.outbound_at,
-                    resolve_extern=resolve_extern,
+                    resolve_extern=self._extern_resolver(sid),
                 )
             except CodecError as exc:
                 raise CorruptPayloadError(
@@ -2034,24 +2005,21 @@ class SwappingManager:
         try:
             with fetch_span:
                 return self._fetch_verified(holder, location, sid), None, None
-        except CorruptPayloadError as exc:
+        except (
+            CorruptPayloadError,
+            RetryExhaustedError,
+            TransportError,
+            UnknownKeyError,
+        ) as exc:
+            cause = exc.__cause__ if isinstance(exc, RetryExhaustedError) else exc
+            if not isinstance(cause, CorruptPayloadError):
+                return None, f"{holder.device_id}: {exc}", None
             self._quarantine_corrupt(sid, holder, location)
             return (
                 None,
                 f"{holder.device_id}: digest mismatch",
-                CodecError(str(exc)),
+                CodecError(str(cause)),
             )
-        except RetryExhaustedError as exc:
-            if isinstance(exc.__cause__, CorruptPayloadError):
-                self._quarantine_corrupt(sid, holder, location)
-                return (
-                    None,
-                    f"{holder.device_id}: digest mismatch",
-                    CodecError(str(exc.__cause__)),
-                )
-            return None, f"{holder.device_id}: {exc}", None
-        except (TransportError, UnknownKeyError) as exc:
-            return None, f"{holder.device_id}: {exc}", None
 
     def _note_swapin_source(
         self,
@@ -2078,6 +2046,16 @@ class SwappingManager:
                     )
                 )
 
+    def _stores_by_id(self) -> Dict[str, SwapStore]:
+        """Every reachable store, plus the degrade pool, by device id."""
+        stores_by_id = {
+            holder.device_id: holder for holder in self.available_stores()
+        }
+        fallback = self.resilience._fallback
+        if fallback is not None:
+            stores_by_id.setdefault(fallback.device_id, fallback)
+        return stores_by_id
+
     def recover_journal(self) -> int:
         """Clean up after interrupted swap-outs; returns entries recovered.
 
@@ -2093,13 +2071,7 @@ class SwappingManager:
         if resilience is None:
             return 0
         recovered = 0
-        stores_by_id = {
-            holder.device_id: holder for holder in self.available_stores()
-        }
-        if resilience._fallback is not None:
-            stores_by_id.setdefault(
-                resilience._fallback.device_id, resilience._fallback
-            )
+        stores_by_id = self._stores_by_id()
         for entry in resilience.journal.pending():
             cluster = self._space._clusters.get(entry.sid)
             if (
@@ -2109,14 +2081,14 @@ class SwappingManager:
             ):
                 resilience.journal.commit(entry)
                 continue
-            for device_id in entry.writes:
-                holder = stores_by_id.get(device_id)
-                if holder is None:
-                    continue
-                try:
-                    holder.drop(entry.key)
-                except (TransportError, UnknownKeyError):
-                    pass
+            self._drop_copies(
+                [
+                    stores_by_id[device_id]
+                    for device_id in entry.writes
+                    if device_id in stores_by_id
+                ],
+                [entry.key],
+            )
             resilience.journal.abort(entry)
             resilience.journal.stats.recoveries += 1
             self.stats.journal_recoveries += 1
@@ -2141,13 +2113,7 @@ class SwappingManager:
         resilience = self.resilience
         if resilience is None:
             return 0
-        stores_by_id: Dict[str, SwapStore] = {
-            holder.device_id: holder for holder in self.available_stores()
-        }
-        if resilience._fallback is not None:
-            stores_by_id.setdefault(
-                resilience._fallback.device_id, resilience._fallback
-            )
+        stores_by_id = self._stores_by_id()
         committed: Dict[tuple, Any] = {}
         for entry in reversed(resilience.journal.history()):
             if entry.state is JournalEntryState.COMMITTED:
@@ -2226,19 +2192,10 @@ class SwappingManager:
         if resilience is not None:
             if dead:
                 affected = resilience.placement.mark_device_lost(device_id)
-                rf = self.target_replicas()
                 for sid in affected:
-                    record = resilience.placement.get(sid)
-                    if record is not None and record.live_count < rf:
-                        self._space.bus.emit(
-                            ClusterUnderReplicatedEvent(
-                                space=self._space.name,
-                                sid=sid,
-                                live_replicas=record.live_count,
-                                target_replicas=rf,
-                                reason=f"{device_id}: store died",
-                            )
-                        )
+                    self._warn_if_under_replicated(
+                        sid, f"{device_id}: store died"
+                    )
             else:
                 affected = resilience.mark_device_suspect(
                     device_id, reason="store detached"
@@ -2490,33 +2447,27 @@ class SwappingManager:
             self.sched.invalidate(cluster.sid, "dropped")
         if self.resilience is not None:
             self.resilience.placement.forget(cluster.sid)
-        if location is not None:
-            for holder in holders:
-                try:
-                    holder.drop(location.key)
-                except (TransportError, UnknownKeyError):
-                    pass  # unreachable device: the copy is orphaned, by design
-        if self.fastpath is not None:
-            chain = self.fastpath.chains.pop(cluster.sid, None)
-            retained = self.fastpath.retained.pop(cluster.sid, None)
-            stale: List[str] = (
-                list(reversed(chain.keys)) if chain is not None else []
-            )
-            if retained is not None and retained[0] not in stale:
-                stale.insert(0, retained[0])
+        live = location.key if location is not None else None
+        if live is not None:
+            self._drop_copies(holders, [live])
+        fastpath = self.fastpath
+        if fastpath is not None:
+            retained = fastpath.retained.pop(cluster.sid, None)
             drop_from: List[SwapStore] = list(holders)
             if retained is not None:
-                for holder in retained[1]:
-                    if holder not in drop_from:
-                        drop_from.append(holder)
-            for stale_key in stale:
-                if location is not None and stale_key == location.key:
-                    continue  # already dropped with the primary copies
-                for holder in drop_from:
-                    try:
-                        holder.drop(stale_key)
-                    except (TransportError, UnknownKeyError):
-                        pass
+                drop_from += [
+                    holder for holder in retained[1] if holder not in holders
+                ]
+            # ``live`` went with the primary copies above
+            self._drop_copies(
+                drop_from,
+                fastpath.stale_keys(
+                    cluster.sid,
+                    retained[0] if retained is not None else None,
+                    live=live,
+                ),
+            )
+            fastpath.chains.pop(cluster.sid, None)
         if cluster.replacement is not None:
             space.heap.free_oid(cluster.replacement.oid)
             cluster.replacement = None
@@ -2543,20 +2494,11 @@ class SwappingManager:
         unreachable through any replacement-object, so drop them."""
         if event.space != self._space.name or self.fastpath is None:
             return
-        chain = self.fastpath.chains.pop(event.sid, None)
         retained = self.fastpath.retained.pop(event.sid, None)
-        if retained is None:
-            return
-        key, holders = retained
-        stale = list(reversed(chain.keys)) if chain is not None else []
-        if key not in stale:
-            stale.insert(0, key)
-        for stale_key in stale:
-            for holder in holders:
-                try:
-                    holder.drop(stale_key)
-                except (TransportError, UnknownKeyError):
-                    pass
+        if retained is not None:
+            key, holders = retained
+            self._drop_copies(holders, self.fastpath.stale_keys(event.sid, key))
+        self.fastpath.chains.pop(event.sid, None)
 
     def binding_for(self, sid: Sid) -> Optional[SwapStore]:
         """The primary store holding a swapped cluster (None if resident)."""
@@ -2609,20 +2551,13 @@ class SwappingManager:
                 if cluster is None or cluster.is_swapped:
                     continue
                 key, holders = fastpath.retained[sid]
-                chain = fastpath.chains.get(sid)
-                stale = list(reversed(chain.keys)) if chain is not None else []
-                if key not in stale:
-                    stale.insert(0, key)
+                stale = fastpath.stale_keys(sid, key)
                 kept: List[SwapStore] = []
                 for holder in holders:
                     if not in_fleet(holder):
                         kept.append(holder)
                         continue
-                    for stale_key in stale:
-                        try:
-                            holder.drop(stale_key)
-                        except (TransportError, UnknownKeyError):
-                            pass
+                    self._drop_copies([holder], stale)
                     copies += 1
                     freed += cluster.clean_xml_bytes or 0
                 if kept:
@@ -2648,10 +2583,7 @@ class SwappingManager:
                 if not in_fleet(holder) or freed >= need_bytes:
                     survivors.append(holder)
                     continue
-                try:
-                    holder.drop(location.key)
-                except (TransportError, UnknownKeyError):
-                    pass
+                self._drop_copies([holder], [location.key])
                 if self.resilience is not None:
                     self.resilience.placement.remove_replica(
                         sid, holder.device_id

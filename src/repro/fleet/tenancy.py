@@ -253,9 +253,10 @@ class Tenant:
     def admit_ship(self, nbytes: int, replicas: int) -> Tuple[bool, str]:
         """May this tenant ship ``nbytes`` to ``replicas`` stores now?
 
-        Called by ``_ship_and_detach`` before store selection.  Returns
-        ``(admitted, denial_reason)``; a denial sends the swap-out down
-        the degrade-to-local path instead of onto the fleet.
+        Called by the manager's full and reship swap-out routes before
+        store selection.  Returns ``(admitted, denial_reason)``; a
+        denial sends the swap-out down the degrade-to-local path
+        instead of onto the fleet.
         """
         return self._registry.admit(self, nbytes * max(1, replicas))
 
