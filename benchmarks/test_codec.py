@@ -3,51 +3,32 @@
 Runs the two codec scenarios (xml, binary) on identical mutating
 hot-path workloads (every cycle dirties one member per cluster, so
 every swap ships real payload), writes ``BENCH_codec.json``, and
-asserts the issue's acceptance bar: at least a 2x reduction in
-combined encode+decode *wall* time, with the binary path negotiated
-on every ship and never falling back.
+asserts the bench's gates (:func:`repro.bench.codec.gates`): at least
+a 2x reduction in combined encode+decode *wall* time, with the binary
+path negotiated on every ship and never falling back.
 
 Run:  pytest benchmarks/test_codec.py --benchmark-only
 """
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
-from repro.bench.codec import CodecBenchConfig, format_table, run_codec_bench
+from repro.bench import codec
+from repro.bench.runner import failed_gates
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_codec.json"
 
 
 def test_codec_wall_floor(benchmark):
     report = benchmark.pedantic(
-        lambda: run_codec_bench(CodecBenchConfig.quick()),
+        lambda: codec.run_codec_bench(codec.CodecBenchConfig.quick()),
         rounds=1,
         iterations=1,
     )
     print()
-    print(format_table(report))
-    OUTPUT.write_text(report.to_json() + "\n", encoding="utf-8")
-
-    xml = report.scenarios["xml"]
-    binary = report.scenarios["binary"]
-
-    # same amount of swapping everywhere: apples-to-apples
-    assert xml.swap_outs == binary.swap_outs
-    assert xml.encode_calls == binary.encode_calls
-
-    # acceptance bar: >=2x cheaper combined encode+decode wall time
-    assert report.encode_decode_wall_reduction >= 2.0
-    # the smaller frames also shrink the simulated link bill
-    assert report.link_bytes_reduction > 1.0
-    assert report.link_seconds_reduction > 1.0
-
-    # every binary swap-out negotiated and shipped frames; nothing fell
-    # back to XML mid-run, and every swap-in verified a binary payload
-    assert binary.codec_binary_ships == binary.swap_outs
-    assert binary.codec_binary_fetches == binary.swap_outs
-    assert binary.codec_fallbacks == 0
-
-    # the honesty check: with the codec off nothing rides the binary path
-    assert xml.codec_binary_ships == 0
-    assert xml.codec_binary_fetches == 0
+    print(codec.format_table(report))
+    text = report.to_json()
+    OUTPUT.write_text(text + "\n", encoding="utf-8")
+    assert [str(gate) for gate in failed_gates(codec, json.loads(text))] == []

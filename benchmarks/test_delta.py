@@ -3,55 +3,33 @@
 Runs the two delta scenarios (fastpath-full, delta) on identical
 skewed-write workloads (~10% of each cluster's members rewritten per
 cycle, replication factor 3 over simulated 700 Kbps Bluetooth links),
-writes ``BENCH_delta.json``, and asserts the issue's acceptance bar: at
-least a 3x reduction in bytes carried on the links *and* a 2x reduction
-in simulated swap-out phase cost.
+writes ``BENCH_delta.json``, and asserts the bench's gates
+(:func:`repro.bench.delta.gates`): at least a 3x reduction in bytes
+carried on the links *and* a 2x reduction in simulated swap-out phase
+cost.
 
 Run:  pytest benchmarks/test_delta.py --benchmark-only
 """
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
-from repro.bench.delta import DeltaBenchConfig, format_table, run_delta_bench
+from repro.bench import delta
+from repro.bench.runner import failed_gates
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_delta.json"
 
 
 def test_delta_swap(benchmark):
     report = benchmark.pedantic(
-        lambda: run_delta_bench(DeltaBenchConfig.quick()), rounds=1, iterations=1
+        lambda: delta.run_delta_bench(delta.DeltaBenchConfig.quick()),
+        rounds=1,
+        iterations=1,
     )
     print()
-    print(format_table(report))
-    OUTPUT.write_text(report.to_json() + "\n", encoding="utf-8")
-
-    full = report.scenarios["fastpath_full"]
-    delta = report.scenarios["delta"]
-
-    # same amount of swapping everywhere: the comparison is apples-to-apples
-    assert full.swap_outs == delta.swap_outs
-
-    # acceptance bar: >=3x fewer bytes on the links and >=2x cheaper
-    # simulated swap-out for the skewed-write workload
-    assert report.link_bytes_reduction >= 3.0
-    assert report.swap_out_cost_reduction >= 2.0
-
-    # after the first full ship, every dirty swap-out moves a delta:
-    # cycles-1 delta cycles per cluster, no fallbacks, no compactions
-    # (quick sizing keeps every chain within delta_max_chain)
-    clusters = delta.swap_outs // delta.cycles
-    assert delta.delta_ships == clusters * (delta.cycles - 1)
-    assert delta.delta_fallbacks == 0
-    assert delta.delta_compactions == 0
-    # only the first cycle's full ships invoke the encoder
-    assert delta.encode_calls == clusters
-    # the fan-out actually pipelined: overlap saved simulated seconds
-    assert delta.pipeline_transfers > 0
-    assert delta.pipeline_saved_s > 0.0
-
-    # the honesty check: with delta off nothing rides the delta path
-    assert full.delta_ships == 0
-    assert full.pipeline_transfers == 0
-    assert full.encode_calls == full.swap_outs
+    print(delta.format_table(report))
+    text = report.to_json()
+    OUTPUT.write_text(text + "\n", encoding="utf-8")
+    assert [str(gate) for gate in failed_gates(delta, json.loads(text))] == []

@@ -4,45 +4,31 @@ Swaps a workload out at ``replication_factor=3`` across five stores,
 kills an increasing number of them with data loss, and measures the
 scrubber's recovery: simulated seconds and payload bytes re-replicated
 until full replication returns.  Writes ``BENCH_durability.json`` and
-asserts the issue's acceptance bar: zero clusters lost for every kill
-count below the replication factor.
+asserts the bench's gates (:func:`repro.bench.durability.gates`): zero
+clusters lost for every kill count below the replication factor.
 
 Run:  pytest benchmarks/test_durability.py --benchmark-only
 """
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
-from repro.bench.durability import DurabilityConfig, format_table, run_durability
+from repro.bench import durability
+from repro.bench.runner import failed_gates
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_durability.json"
 
 
 def test_durability(benchmark):
     report = benchmark.pedantic(
-        lambda: run_durability(DurabilityConfig.quick()), rounds=1, iterations=1
+        lambda: durability.run_durability(durability.DurabilityConfig.quick()),
+        rounds=1,
+        iterations=1,
     )
     print()
-    print(format_table(report))
-    OUTPUT.write_text(report.to_json() + "\n", encoding="utf-8")
-
-    factor = report.config.replication_factor
-    # the durability claim: any minority of store deaths loses nothing
-    assert report.survives_minority_loss
-    for kills, result in report.results.items():
-        if kills < factor:
-            # everything recovered AND re-replicated back to the target
-            assert result.clusters_lost == 0
-            assert result.fully_replicated == result.clusters
-            assert result.replicas_repaired == kills * result.clusters
-            assert result.bytes_re_replicated > 0
-            assert result.recovery_s > 0.0  # repair traffic is not free
-
-    # recovery work scales with what was lost: two deaths re-ship more
-    # than one (the bench's headline numbers stay meaningful)
-    if 1 in report.results and 2 in report.results:
-        assert (
-            report.results[2].bytes_re_replicated
-            > report.results[1].bytes_re_replicated
-        )
+    print(durability.format_table(report))
+    text = report.to_json()
+    OUTPUT.write_text(text + "\n", encoding="utf-8")
+    assert [str(gate) for gate in failed_gates(durability, json.loads(text))] == []

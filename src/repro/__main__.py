@@ -5,6 +5,7 @@ Usage::
     python -m repro            # inventory + quick self-check
     python -m repro demo       # run the Figure 2 pressure scenario
     python -m repro figure5    # full Figure 5 reproduction (slow)
+    python -m repro bench NAME # run a swap bench (or all), check its gates
     python -m repro obs ...    # inspect observability dumps (check/report/prom)
 """
 
@@ -57,6 +58,11 @@ def main(argv: list[str]) -> int:
         from repro.bench.figure5 import main as figure5_main
 
         return figure5_main(argv[1:])
+
+    if argv and argv[0] == "bench":
+        from repro.bench.runner import main as bench_main
+
+        return bench_main(argv[1:])
 
     if argv and argv[0] == "obs":
         from repro.obs.cli import main as obs_main

@@ -7,6 +7,10 @@
 * :mod:`repro.bench.figure5` — tests A1/A2/B1/B2 across swap-cluster
   sizes 20/50/100 and the NO-SWAP lower bound;
 * :mod:`repro.bench.report` — paper-vs-measured tables and shape checks.
+* :mod:`repro.bench.runner` — ``python -m repro bench <name|all>``: runs
+  one of the swap benches (hotpath, delta, durability, codec,
+  async_sched, topology, tenancy, scenarios) and checks the gates it
+  declares.
 
 Run the full Figure 5 reproduction with::
 

@@ -25,8 +25,8 @@ Headline: p95 fault-stall reduction (simulated seconds an access was
 blocked on a reload), asserted ≥ 2x by CI across seeds, with the
 prefetch waste ratio and overlap ratio reported alongside.  Each
 scenario also reports the real wall-clock time it took to compute next
-to its simulated cost.  ``python -m repro.bench.async_sched`` writes
-``BENCH_async.json``.
+to its simulated cost.  ``python -m repro bench async_sched`` writes
+``BENCH_async.json`` and checks :func:`gates`.
 """
 
 from __future__ import annotations
@@ -36,8 +36,10 @@ import json
 import random
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from repro.bench.hotpath import _percentile
+from repro.bench.runner import Gate
 from repro.clock import SimulatedClock
 from repro.comm.transport import bluetooth_link
 from repro.core.space import Space
@@ -203,14 +205,6 @@ class AsyncBenchReport:
             "sync_equivalent": self.sync_equivalent,
         }
         return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def _percentile(samples: List[float], fraction: float) -> float:
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    index = min(len(ordered) - 1, int(round(fraction * (len(ordered) - 1))))
-    return ordered[index]
 
 
 def _build_space(config: AsyncBenchConfig) -> Tuple[Space, SimulatedClock, list]:
@@ -415,49 +409,26 @@ def format_table(report: AsyncBenchReport) -> str:
     return "\n".join(lines)
 
 
-def main(argv: List[str] | None = None) -> int:  # pragma: no cover - CLI
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick", action="store_true", help="CI smoke-test sizing"
-    )
-    parser.add_argument(
-        "--seed", type=int, default=1, help="workload seed (default 1)"
-    )
-    parser.add_argument(
-        "--output", default="BENCH_async.json", help="JSON output path"
-    )
-    parser.add_argument(
-        "--obs",
-        action="store_true",
-        help="run with observability attached: per-phase breakdowns in the "
-        "JSON plus one labeled trace/metric dump per scenario",
-    )
-    parser.add_argument(
-        "--obs-output",
-        default="BENCH_async_obs.jsonl",
-        help="JSONL dump path (with --obs)",
-    )
-    arguments = parser.parse_args(argv)
-    config = (
-        AsyncBenchConfig.quick(seed=arguments.seed)
-        if arguments.quick
-        else AsyncBenchConfig(seed=arguments.seed)
-    )
-    report = run_async_bench(
-        config,
-        observe=arguments.obs,
-        obs_path=arguments.obs_output if arguments.obs else None,
-    )
-    print(format_table(report))
-    if arguments.obs:
-        print(f"wrote {arguments.obs_output}")
-    with open(arguments.output, "w", encoding="utf-8") as handle:
-        handle.write(report.to_json() + "\n")
-    print(f"wrote {arguments.output}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+def gates(payload: Dict[str, Any]) -> Iterator[Gate]:
+    """The acceptance bars on a ``to_json`` payload."""
+    sync = payload["scenarios"]["sync"]
+    # same walk everywhere: the comparison is apples-to-apples
+    for name in ("async", "serial"):
+        yield Gate(f"scenarios.{name}.steps", "==", sync["steps"])
+    yield Gate("scenarios.serial.faults", "==", sync["faults"])
+    # >=2x lower p95 (the fault-stall SLO floor) and mean fault stall
+    yield Gate("reductions.p95_fault_stall", ">=", 2.0)
+    yield Gate("reductions.mean_fault_stall", ">=", 2.0)
+    # channels=1 + prefetch=off is bit-identical to the legacy synchronous
+    # path: same clock, stats, heap and event stream digest
+    yield Gate("sync_equivalent", "==", True)
+    yield Gate("scenarios.serial.digest", "==", sync["digest"])
+    # the speculation story is real and honestly accounted: hits landed,
+    # and the waste ratio is present and in range
+    yield Gate("scenarios.async.sched_prefetch_issued", ">", 0)
+    yield Gate("scenarios.async.sched_prefetch_hits", ">", 0)
+    yield Gate("scenarios.async.prefetch_waste_ratio", ">=", 0.0)
+    yield Gate("scenarios.async.prefetch_waste_ratio", "<=", 1.0)
+    # write-back and stale-drop traffic actually rode the channels
+    yield Gate("scenarios.async.sched_writebacks", ">", 0)
+    yield Gate("scenarios.async.sched_stale_drops", ">", 0)

@@ -19,7 +19,8 @@ reduction in combined encode+decode wall time.
 
 ``--seed`` perturbs which member of each cluster mutates per cycle, so
 CI can demand the floor across several workload shapes.
-``python -m repro.bench.codec`` writes ``BENCH_codec.json``.
+``python -m repro bench codec`` writes ``BENCH_codec.json`` and checks
+:func:`gates`.
 """
 
 from __future__ import annotations
@@ -27,9 +28,10 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List
+from typing import Any, Dict, Iterator, List
 
 from repro.bench.hotpath import HotPathConfig, _build_space, _percentile
+from repro.bench.runner import Gate
 from repro.core.fastpath import FastPathConfig
 
 
@@ -247,49 +249,23 @@ def format_table(report: CodecReport) -> str:
     return "\n".join(lines)
 
 
-def main(argv: List[str] | None = None) -> int:  # pragma: no cover - CLI
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick", action="store_true", help="CI smoke-test sizing"
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=1,
-        help="perturbs which member mutates each cycle",
-    )
-    parser.add_argument(
-        "--output", default="BENCH_codec.json", help="JSON output path"
-    )
-    parser.add_argument(
-        "--obs",
-        action="store_true",
-        help="additionally dump one labeled trace/metric JSONL per scenario",
-    )
-    parser.add_argument(
-        "--obs-output",
-        default="BENCH_codec_obs.jsonl",
-        help="JSONL dump path (with --obs)",
-    )
-    arguments = parser.parse_args(argv)
-    config = (
-        CodecBenchConfig.quick(seed=arguments.seed)
-        if arguments.quick
-        else CodecBenchConfig(seed=arguments.seed)
-    )
-    report = run_codec_bench(
-        config, obs_path=arguments.obs_output if arguments.obs else None
-    )
-    print(format_table(report))
-    if arguments.obs:
-        print(f"wrote {arguments.obs_output}")
-    with open(arguments.output, "w", encoding="utf-8") as handle:
-        handle.write(report.to_json() + "\n")
-    print(f"wrote {arguments.output}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+def gates(payload: Dict[str, Any]) -> Iterator[Gate]:
+    """The acceptance bars on a ``to_json`` payload."""
+    xml = payload["scenarios"]["xml"]
+    binary = payload["scenarios"]["binary"]
+    # >=2x cheaper combined encode+decode wall time, and the smaller
+    # frames also shrink the simulated link bill
+    yield Gate("reductions.encode_decode_wall", ">=", 2.0)
+    yield Gate("reductions.link_bytes", ">", 1.0)
+    yield Gate("reductions.link_seconds", ">", 1.0)
+    # same amount of swapping everywhere: apples-to-apples
+    yield Gate("scenarios.binary.swap_outs", "==", xml["swap_outs"])
+    yield Gate("scenarios.binary.encode_calls", "==", xml["encode_calls"])
+    # every binary swap-out negotiated and shipped frames; nothing fell
+    # back to XML mid-run, and every swap-in verified a binary payload
+    yield Gate("scenarios.binary.codec_binary_ships", "==", binary["swap_outs"])
+    yield Gate("scenarios.binary.codec_binary_fetches", "==", binary["swap_outs"])
+    yield Gate("scenarios.binary.codec_fallbacks", "==", 0)
+    # the honesty check: with the codec off nothing rides the binary path
+    yield Gate("scenarios.xml.codec_binary_ships", "==", 0)
+    yield Gate("scenarios.xml.codec_binary_fetches", "==", 0)

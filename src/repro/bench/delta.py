@@ -19,7 +19,8 @@ comparison is apples-to-apples.  Reported per scenario: per-cycle
 simulated swap-out phase cost (the phase ends at ``scheduler.drain()``,
 so pipelined transfers are fully paid inside the measured window),
 bytes carried across every link, and the delta/pipeline counters.
-``python -m repro.bench.delta`` writes ``BENCH_delta.json``.
+``python -m repro bench delta`` writes ``BENCH_delta.json`` and checks
+:func:`gates`.
 """
 
 from __future__ import annotations
@@ -27,8 +28,10 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
+from repro.bench.hotpath import _percentile
+from repro.bench.runner import Gate
 from repro.clock import SimulatedClock
 from repro.comm.transport import bluetooth_link
 from repro.core.fastpath import FastPathConfig
@@ -169,14 +172,6 @@ class DeltaBenchReport:
             },
         }
         return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def _percentile(samples: List[float], fraction: float) -> float:
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    index = min(len(ordered) - 1, int(round(fraction * (len(ordered) - 1))))
-    return ordered[index]
 
 
 def _build_space(config: DeltaBenchConfig) -> tuple:
@@ -344,42 +339,29 @@ def format_table(report: DeltaBenchReport) -> str:
     return "\n".join(lines)
 
 
-def main(argv: List[str] | None = None) -> int:  # pragma: no cover - CLI
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick", action="store_true", help="CI smoke-test sizing"
-    )
-    parser.add_argument(
-        "--output", default="BENCH_delta.json", help="JSON output path"
-    )
-    parser.add_argument(
-        "--obs",
-        action="store_true",
-        help="run with observability attached: per-phase breakdowns in the "
-        "JSON plus one labeled trace/metric dump per scenario",
-    )
-    parser.add_argument(
-        "--obs-output",
-        default="BENCH_delta_obs.jsonl",
-        help="JSONL dump path (with --obs)",
-    )
-    arguments = parser.parse_args(argv)
-    config = DeltaBenchConfig.quick() if arguments.quick else DeltaBenchConfig()
-    report = run_delta_bench(
-        config,
-        observe=arguments.obs,
-        obs_path=arguments.obs_output if arguments.obs else None,
-    )
-    print(format_table(report))
-    if arguments.obs:
-        print(f"wrote {arguments.obs_output}")
-    with open(arguments.output, "w", encoding="utf-8") as handle:
-        handle.write(report.to_json() + "\n")
-    print(f"wrote {arguments.output}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+def gates(payload: Dict[str, Any]) -> Iterator[Gate]:
+    """The acceptance bars on a ``to_json`` payload."""
+    full = payload["scenarios"]["fastpath_full"]
+    delta = payload["scenarios"]["delta"]
+    # >=3x fewer bytes on the links and >=2x cheaper simulated swap-out
+    # for the skewed-write workload
+    yield Gate("reductions.link_bytes", ">=", 3.0)
+    yield Gate("reductions.swap_out_cost", ">=", 2.0)
+    # same amount of swapping everywhere: the comparison is apples-to-apples
+    yield Gate("scenarios.delta.swap_outs", "==", full["swap_outs"])
+    # after the first full ship, every dirty swap-out moves a delta:
+    # cycles-1 delta cycles per cluster, no fallbacks, no compactions
+    # (quick sizing keeps every chain within delta_max_chain), and only
+    # the first cycle's full ships invoke the encoder
+    clusters = delta["swap_outs"] // delta["cycles"]
+    yield Gate("scenarios.delta.delta_ships", "==", clusters * (delta["cycles"] - 1))
+    yield Gate("scenarios.delta.delta_fallbacks", "==", 0)
+    yield Gate("scenarios.delta.delta_compactions", "==", 0)
+    yield Gate("scenarios.delta.encode_calls", "==", clusters)
+    # the fan-out actually pipelined: overlap saved simulated seconds
+    yield Gate("scenarios.delta.pipeline_transfers", ">", 0)
+    yield Gate("scenarios.delta.pipeline_saved_s", ">", 0.0)
+    # the honesty check: with delta off nothing rides the delta path
+    yield Gate("scenarios.fastpath_full.delta_ships", "==", 0)
+    yield Gate("scenarios.fastpath_full.pipeline_transfers", "==", 0)
+    yield Gate("scenarios.fastpath_full.encode_calls", "==", full["swap_outs"])

@@ -14,15 +14,17 @@ drives the scrubber until the neighborhood is stable again — reporting
 * **clusters lost** — how many records had no surviving copy (must be
   zero while ``kills < replication_factor``).
 
-``python -m repro.bench.durability`` writes ``BENCH_durability.json``.
+``python -m repro bench durability`` writes ``BENCH_durability.json``
+and checks :func:`gates`.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
+from repro.bench.runner import Gate
 from repro.bench.workloads import build_list
 from repro.clock import SimulatedClock
 from repro.comm.transport import bluetooth_link
@@ -223,42 +225,30 @@ def format_table(report: DurabilityReport) -> str:
     return "\n".join(lines)
 
 
-def main(argv: List[str] | None = None) -> int:  # pragma: no cover - CLI
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick", action="store_true", help="CI smoke-test sizing"
-    )
-    parser.add_argument(
-        "--output", default="BENCH_durability.json", help="JSON output path"
-    )
-    parser.add_argument(
-        "--obs",
-        action="store_true",
-        help="run with observability attached: per-phase breakdowns in the "
-        "JSON plus one labeled trace/metric dump per kill count",
-    )
-    parser.add_argument(
-        "--obs-output",
-        default="BENCH_durability_obs.jsonl",
-        help="JSONL dump path (with --obs)",
-    )
-    arguments = parser.parse_args(argv)
-    config = DurabilityConfig.quick() if arguments.quick else DurabilityConfig()
-    report = run_durability(
-        config,
-        observe=arguments.obs,
-        obs_path=arguments.obs_output if arguments.obs else None,
-    )
-    print(format_table(report))
-    if arguments.obs:
-        print(f"wrote {arguments.obs_output}")
-    with open(arguments.output, "w", encoding="utf-8") as handle:
-        handle.write(report.to_json() + "\n")
-    print(f"wrote {arguments.output}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+def gates(payload: Dict[str, Any]) -> Iterator[Gate]:
+    """The acceptance bars on a ``to_json`` payload."""
+    results = payload["results"]
+    # the durability claim: any minority of store deaths loses nothing,
+    # and everything is re-replicated back to the target factor
+    yield Gate("survives_minority_loss", "==", True)
+    for kills, result in results.items():
+        if int(kills) < payload["config"]["replication_factor"]:
+            at = f"results.{kills}"
+            yield Gate(f"{at}.clusters_lost", "==", 0)
+            yield Gate(f"{at}.fully_replicated", "==", result["clusters"])
+            yield Gate(
+                f"{at}.replicas_repaired", "==", int(kills) * result["clusters"]
+            )
+            yield Gate(f"{at}.bytes_re_replicated", ">", 0)
+            yield Gate(f"{at}.recovery_s", ">", 0.0)  # repair is not free
+    # recovery work scales with what was lost: two deaths re-ship more
+    # than one (the bench's headline numbers stay meaningful)
+    if "1" in results and "2" in results:
+        yield Gate(
+            "results.2.bytes_re_replicated",
+            ">",
+            results["1"]["bytes_re_replicated"],
+        )
+    if payload["observed"]:
+        for kills in results:
+            yield Gate(f"results.{kills}.phases", "!=", {})

@@ -15,16 +15,17 @@ out *unmodified* after their last cycle:
 
 Reported per scenario: p50/p95 simulated swap-out and full-cycle cost,
 bytes carried on the link, encoder invocations, and the fast-path
-counters.  ``python -m repro.bench.hotpath`` writes
-``BENCH_swap_hotpath.json``.
+counters.  ``python -m repro bench hotpath`` writes
+``BENCH_swap_hotpath.json`` and checks :func:`gates`.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List
+from typing import Any, Dict, Iterator, List
 
+from repro.bench.runner import Gate
 from repro.bench.workloads import build_list
 from repro.clock import SimulatedClock
 from repro.comm.transport import bluetooth_link
@@ -281,42 +282,35 @@ def format_table(report: HotPathReport) -> str:
     return "\n".join(lines)
 
 
-def main(argv: List[str] | None = None) -> int:  # pragma: no cover - CLI
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick", action="store_true", help="CI smoke-test sizing"
+def gates(payload: Dict[str, Any]) -> Iterator[Gate]:
+    """The acceptance bars on a ``to_json`` payload."""
+    scenarios = payload["scenarios"]
+    clean = scenarios["fastpath_clean"]
+    mutating = scenarios["fastpath_mutating"]
+    # >=2x cheaper simulated swap-out, >=2x fewer encoder invocations and
+    # >=2x fewer link bytes for unmodified clusters
+    yield Gate("reductions.swap_out_cost", ">=", 2.0)
+    yield Gate("reductions.encode_calls", ">=", 2.0)
+    yield Gate("reductions.link_bytes", ">=", 2.0)
+    # same amount of swapping everywhere: the comparison is apples-to-apples
+    for name in ("fastpath_clean", "fastpath_mutating"):
+        yield Gate(
+            f"scenarios.{name}.swap_outs", "==", scenarios["baseline"]["swap_outs"]
+        )
+    # after the first cycle every clean swap-out is a metadata-only no-op,
+    # and every clean swap-in is served from the local payload cache
+    yield Gate(
+        "scenarios.fastpath_clean.fastpath_noops",
+        "==",
+        clean["swap_outs"] - clean["encode_calls"],
     )
-    parser.add_argument(
-        "--output", default="BENCH_swap_hotpath.json", help="JSON output path"
+    yield Gate("scenarios.fastpath_clean.swapin_cache_hits", "==", clean["swap_outs"])
+    # the honesty check: mutation invalidates the fast path every cycle
+    yield Gate("scenarios.fastpath_mutating.fastpath_noops", "==", 0)
+    yield Gate(
+        "scenarios.fastpath_mutating.encode_calls", "==", mutating["swap_outs"]
     )
-    parser.add_argument(
-        "--obs",
-        action="store_true",
-        help="run with observability attached: per-phase breakdowns in the "
-        "JSON plus one labeled trace/metric dump per scenario",
-    )
-    parser.add_argument(
-        "--obs-output",
-        default="BENCH_swap_hotpath_obs.jsonl",
-        help="JSONL dump path (with --obs)",
-    )
-    arguments = parser.parse_args(argv)
-    config = HotPathConfig.quick() if arguments.quick else HotPathConfig()
-    report = run_hotpath(
-        config,
-        observe=arguments.obs,
-        obs_path=arguments.obs_output if arguments.obs else None,
-    )
-    print(format_table(report))
-    if arguments.obs:
-        print(f"wrote {arguments.obs_output}")
-    with open(arguments.output, "w", encoding="utf-8") as handle:
-        handle.write(report.to_json() + "\n")
-    print(f"wrote {arguments.output}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+    if payload["observed"]:
+        for name in scenarios:
+            yield Gate(f"scenarios.{name}.phases", "!=", {})
+            yield Gate(f"scenarios.{name}.phases", "contains", "encode")

@@ -29,15 +29,16 @@ one victim swap-out starves (or the victim is squeezed below
 :data:`VICTIM_FLOOR_FRACTION` of its guaranteed bytes, or blows its
 SLO) — both sides are asserted per seed by CI.
 
-``python -m repro.bench.tenancy`` writes ``BENCH_tenancy.json``.
+``python -m repro bench tenancy`` writes ``BENCH_tenancy.json`` and
+checks :func:`gates`.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from repro.bench.runner import Gate
 from repro.bench.scenarios import (
     FOREGROUND,
     _build_chain,
@@ -571,52 +572,16 @@ def format_table(report: Dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover - CLI
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick", action="store_true", help="CI sizing: a single seed"
-    )
-    parser.add_argument(
-        "--seed", type=int, default=None,
-        help="with --quick: which single seed to run",
-    )
-    parser.add_argument(
-        "--seeds", type=int, nargs="+", default=None,
-        help="explicit seed list (default 1 2 3)",
-    )
-    parser.add_argument(
-        "--output", default="BENCH_tenancy.json", help="report path"
-    )
-    parser.add_argument(
-        "--obs", action="store_true",
-        help="attach observability and export a JSONL dump",
-    )
-    parser.add_argument(
-        "--obs-output", default="BENCH_tenancy_obs.jsonl",
-        help="path for the observability dump (with --obs)",
-    )
-    args = parser.parse_args(argv)
-    if args.quick:
-        seeds: Tuple[int, ...] = (args.seed if args.seed is not None else 1,)
-    elif args.seeds:
-        seeds = tuple(args.seeds)
-    else:
-        seeds = (1, 2, 3)
-    report = run_bench(
-        seeds,
-        quick=args.quick,
-        observe=args.obs,
-        obs_path=args.obs_output if args.obs else None,
-    )
-    with open(args.output, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(format_table(report))
-    print(f"wrote {args.output}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+def gates(payload: Dict[str, Any]) -> Iterator[Gate]:
+    """The acceptance bars on a ``run_bench`` payload."""
+    # tenancy on isolates the victim from the aggressor; tenancy off
+    # starves it (else the bench demonstrates nothing)
+    yield Gate("summary.isolation_held", "==", True)
+    yield Gate("summary.tenancy_off_violates", "==", True)
+    for seed in payload["seeds"]:
+        at = f"seeds.{seed}"
+        yield Gate(f"{at}.fleet.isolation.held", "==", True)
+        yield Gate(f"{at}.fleet.tenants.victim.degraded_swaps", "==", 0)
+        yield Gate(f"{at}.off.isolation.violated", "==", True)
+        # the control plane delivered every change
+        yield Gate(f"{at}.fleet.control_plane.undelivered", "==", 0)

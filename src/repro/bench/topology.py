@@ -15,7 +15,8 @@ Two layers exercise the :mod:`repro.topology` service:
   kill each cell in turn via the churn injector, let ``tick`` reparent
   and the scrubber re-replicate, and verify every cluster swaps back in.
 
-``python -m repro.bench.topology`` writes ``BENCH_topology.json``.
+``python -m repro bench topology`` writes ``BENCH_topology.json`` and
+checks :func:`gates`.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from repro.bench.runner import Gate
 from repro.bench.workloads import build_list
 from repro.clock import SimulatedClock
 from repro.comm.transport import bluetooth_link
@@ -490,53 +492,28 @@ def format_table(report: TopologyReport) -> str:
     return "\n".join(lines)
 
 
-def main(argv: List[str] | None = None) -> int:  # pragma: no cover - CLI
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick", action="store_true", help="CI smoke-test sizing"
-    )
-    parser.add_argument(
-        "--keys", type=int, default=None, help="override the key population"
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="fault-injector seed"
-    )
-    parser.add_argument(
-        "--output", default="BENCH_topology.json", help="JSON output path"
-    )
-    parser.add_argument(
-        "--obs",
-        action="store_true",
-        help="run the integration scenarios with observability attached: "
-        "one labeled trace/metric dump per killed cell",
-    )
-    parser.add_argument(
-        "--obs-output",
-        default="BENCH_topology_obs.jsonl",
-        help="JSONL dump path (with --obs)",
-    )
-    arguments = parser.parse_args(argv)
-    config = (
-        TopologyBenchConfig.quick() if arguments.quick else TopologyBenchConfig()
-    )
-    if arguments.keys is not None:
-        config.keys = arguments.keys
-    config.seed = arguments.seed
-    report = run_topology_bench(
-        config,
-        observe=arguments.obs,
-        obs_path=arguments.obs_output if arguments.obs else None,
-    )
-    print(format_table(report))
-    if arguments.obs:
-        print(f"wrote {arguments.obs_output}")
-    with open(arguments.output, "w", encoding="utf-8") as handle:
-        handle.write(report.to_json() + "\n")
-    print(f"wrote {arguments.output}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+def gates(payload: Dict[str, Any]) -> Iterator[Gate]:
+    """The acceptance bars on a ``to_json`` payload."""
+    # the headline claims: a full cell death loses nothing, and shard
+    # lookups stay O(1) as the key population grows
+    yield Gate("zero_loss", "==", True)
+    yield Gate("lookup_o1", "==", True)
+    yield Gate("scale.lookup_o1", "==", True)
+    # every shard's holders span cells: no single cell owns any cluster
+    yield Gate("scale.worst_cell_lost_clusters", "==", 0)
+    # the churn sweep actually reparented, and cheaply, and rebalanced
+    yield Gate("scale.reparents", ">", 0)
+    yield Gate("scale.reparent_wall_ms_mean", "<", 100.0)
+    yield Gate("scale.rebalance_moves", ">", 0)
+    # real-data layer: every cell death recovered with nothing lost and
+    # was re-replicated back to full rf (repair traffic is not free)
+    integration = payload["integration"]
+    yield Gate("config.it_cells", "==", len(integration))  # one run per cell
+    for index, result in enumerate(integration):
+        at = f"integration.{index}"
+        yield Gate(f"{at}.clusters_lost", "==", 0)
+        yield Gate(f"{at}.swap_in_ok", "==", result["clusters"])
+        yield Gate(f"{at}.reparents", ">", 0)
+        yield Gate(f"{at}.replicas_repaired", ">", 0)
+        yield Gate(f"{at}.fully_replicated", "==", result["clusters"])
+        yield Gate(f"{at}.recovery_s", ">", 0.0)

@@ -24,10 +24,16 @@ from xml.etree import ElementTree as ET
 
 from repro.core.space import Space
 from repro.core.swap_cluster import SwapCluster
-from repro.errors import CodecError, SwapStoreUnavailableError
+from repro.errors import (
+    CodecError,
+    SwapStoreUnavailableError,
+    TransportError,
+    UnknownKeyError,
+)
 from repro.ids import ROOT_SID, Sid
 from repro.runtime.classext import instance_fields
 from repro.runtime.registry import TypeRegistry, global_registry
+from repro.wire.canonical import verify_payload
 from repro.wire.wrappers import decode_value, encode_value
 
 _object_setattr = object.__setattr__
@@ -305,17 +311,16 @@ def _swapped_cluster_document(
         raise SwapStoreUnavailableError(
             f"swap-cluster {cluster.sid} has no reachable swapped state"
         )
-    holders = space.manager.bindings_for(cluster.sid)
-    text = None
-    for holder in holders:
+    for holder in space.manager.bindings_for(cluster.sid):
         try:
             text = holder.fetch(location.key)
+        except (TransportError, UnknownKeyError):
+            continue  # try the next holder
+        if verify_payload(text, location.digest):
             break
-        except Exception:  # noqa: BLE001 - try the next mirror
-            continue
-    if text is None:
+    else:
         raise SwapStoreUnavailableError(
-            f"cannot fetch swap-cluster {cluster.sid} for hibernation"
+            f"no verified copy of swap-cluster {cluster.sid} for hibernation"
         )
     stored = ET.fromstring(text)
     for obj_el in stored:

@@ -4,7 +4,7 @@ The JSONL dump is the interchange format between a run and the ``python
 -m repro obs`` CLI: one JSON object per line, discriminated by ``kind``
 (``meta`` / ``span`` / ``metric``).  Several runs may be appended to one
 file; each contributes its own ``meta`` line.  :func:`check_dump`
-validates the schema (the CI ``obs-smoke`` job gates on it) and
+validates the schema (every CI ``bench`` entry gates on it) and
 :func:`load_dump` parses a file back into records.
 
 :func:`render_prometheus` writes the registry in the Prometheus text

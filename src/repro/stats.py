@@ -149,10 +149,12 @@ class SpaceTelemetry:
     retries: int = 0
     failovers: int = 0
     circuit_opens: int = 0
+    circuit_closes: int = 0
     degraded_swaps: int = 0
     journal_recoveries: int = 0
     journal_truncated: int = 0
     # -- durability counters (zero without replication/scrubbing) --
+    replicated_clusters: int = 0
     replicas_repaired: int = 0
     replicas_quarantined: int = 0
     scrub_ticks: int = 0
@@ -255,9 +257,11 @@ def snapshot(space: Any) -> SpaceTelemetry:
         retries=stats.retries,
         failovers=stats.failovers,
         circuit_opens=stats.circuit_opens,
+        circuit_closes=stats.circuit_closes,
         degraded_swaps=stats.degraded_swaps,
         journal_recoveries=stats.journal_recoveries,
         journal_truncated=stats.journal_truncated,
+        replicated_clusters=stats.replicated_clusters,
         replicas_repaired=stats.replicas_repaired,
         replicas_quarantined=stats.replicas_quarantined,
         scrub_ticks=stats.scrub_ticks,

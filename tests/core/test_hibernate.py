@@ -134,3 +134,61 @@ def test_double_hibernate_is_deterministic(populated, tmp_path):
     first = (tmp_path / "one" / "cluster-1.xml").read_text()
     second = (tmp_path / "two" / "cluster-1.xml").read_text()
     assert first == second
+
+
+# -- swapped copies are verified before they are snapshotted -------------------
+
+
+def _replicated(codec=None):
+    """A chain whose cluster 2 is swapped to two stores (rf=2)."""
+    from repro.core.fastpath import FastPathConfig
+    from repro.resilience import ResilienceConfig
+
+    space = make_space(with_store=False)
+    stores = [InMemoryStore("first"), InMemoryStore("second")]
+    for store in stores:
+        space.manager.add_store(store)
+    space.manager.enable_resilience(ResilienceConfig(replication_factor=2))
+    if codec is not None:
+        space.manager.enable_fastpath(FastPathConfig(codec=codec))
+    space.ingest(build_chain(30), cluster_size=10, root_name="h")
+    space.swap_out(2)
+    key = space.clusters()[2].location.key
+    holders = space.manager.bindings_for(2)
+    assert [holder.device_id for holder in holders] == ["first", "second"]
+    return space, holders, key
+
+
+def _rot_text(store, key):
+    store._data[key] = store._data[key][:-8] + "<!--rot-->"
+
+
+def _rot_frames(store, key):
+    frames = bytearray(store._wire[key])
+    frames[len(frames) // 2] ^= 0xFF
+    store._wire[key] = bytes(frames)
+
+
+def test_hibernate_fails_over_past_rotted_text(tmp_path):
+    space, holders, key = _replicated()
+    _rot_text(holders[0], key)
+    hibernate(space, tmp_path)
+    assert chain_values(restore(tmp_path).get_root("h")) == list(range(30))
+
+
+def test_hibernate_fails_over_past_rotted_binary_frames(tmp_path):
+    space, holders, key = _replicated(codec="binary")
+    assert key in holders[0]._wire  # the copy is held as binary frames
+    _rot_frames(holders[0], key)
+    hibernate(space, tmp_path)
+    assert chain_values(restore(tmp_path).get_root("h")) == list(range(30))
+
+
+def test_hibernate_refuses_when_every_copy_is_rotted(tmp_path):
+    from repro.errors import SwapStoreUnavailableError
+
+    space, holders, key = _replicated()
+    for holder in holders:
+        _rot_text(holder, key)
+    with pytest.raises(SwapStoreUnavailableError, match="no verified copy"):
+        hibernate(space, tmp_path)

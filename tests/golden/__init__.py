@@ -1,7 +1,8 @@
 """Committed simulated-clock bench results for the identity tests.
 
-Each ``<name>.json`` here is the ``--quick`` output of one
-``repro.bench`` harness with every key containing ``wall`` removed:
+Each ``<name>.json`` here is the ``--quick`` output of one bench run
+through ``python -m repro bench`` with every key containing ``wall``
+removed:
 host wall time jitters between runs, while everything measured on the
 simulated clock (latencies, link bytes, counters, digests) is exact.
 The identity tests replay the same workloads and require full-dict
@@ -21,14 +22,15 @@ from typing import Any, Dict, List
 
 GOLDEN_DIR = Path(__file__).resolve().parent
 
-#: golden name -> the CLI arguments that produce it (``--output`` added).
+#: golden name -> the ``python -m repro bench`` arguments that produce
+#: it (``--output`` added).
 BENCHES: Dict[str, List[str]] = {
-    "hotpath": ["repro.bench.hotpath", "--quick"],
-    "delta": ["repro.bench.delta", "--quick"],
-    "codec": ["repro.bench.codec", "--quick"],
-    "async": ["repro.bench.async_sched", "--quick"],
-    "tenancy": ["repro.bench.tenancy", "--quick"],
-    "scenarios": ["repro.bench.scenarios", "--quick", "--seed", "1"],
+    "hotpath": ["hotpath", "--quick"],
+    "delta": ["delta", "--quick"],
+    "codec": ["codec", "--quick"],
+    "async": ["async_sched", "--quick"],
+    "tenancy": ["tenancy", "--quick"],
+    "scenarios": ["scenarios", "--quick", "--seed", "1"],
 }
 
 

@@ -1,8 +1,10 @@
 """Regenerate the goldens: ``PYTHONPATH=src python -m tests.golden``.
 
-Runs every harness in :data:`tests.golden.BENCHES` through its own CLI
-in a scratch directory and writes the wall-stripped result, then the
-per-route swap-out traces of ``tests/core/test_swap_routes.py``.
+Runs every bench in :data:`tests.golden.BENCHES` through
+``python -m repro bench`` in a scratch directory and writes the
+wall-stripped result, then the per-route swap-out traces of
+``tests/core/test_swap_routes.py``.  A failed gate does not stop the
+regeneration (a wall gate can miss on a loaded host); it is reported.
 """
 
 from __future__ import annotations
@@ -24,13 +26,16 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as scratch:
         for name, argv in BENCHES.items():
             output = Path(scratch) / f"{name}.json"
-            subprocess.run(
-                [sys.executable, "-m", *argv, "--output", str(output)],
+            run = subprocess.run(
+                [sys.executable, "-m", "repro", "bench", *argv,
+                 "--output", str(output)],
                 cwd=scratch,
                 env=env,
-                check=True,
-                stdout=subprocess.DEVNULL,
+                stdout=subprocess.PIPE,
+                text=True,
             )
+            if run.returncode != 0:
+                print(run.stdout, end="")  # names the failed gates
             dump(name, json.loads(output.read_text()))
             print(f"wrote tests/golden/{name}.json")
     from tests.core.test_swap_routes import route_traces

@@ -33,22 +33,23 @@ class Flaky:
         return "ok"
 
 
-def test_backoff_charged_to_simulated_clock_not_wall_time():
+def test_backoff_charged_to_simulated_clock_not_wall_time(monkeypatch):
+    def no_sleep(seconds):
+        pytest.fail(f"backoff slept {seconds} wall seconds")
+
+    # WallClock.advance is the only path in the package that sleeps
+    monkeypatch.setattr(time, "sleep", no_sleep)
     clock = SimulatedClock()
     policy = RetryPolicy(
         max_attempts=4, base_delay_s=10.0, multiplier=2.0, max_delay_s=100.0,
         jitter=0.0, deadline_s=None,
     )
     flaky = Flaky(3)
-    started_wall = time.perf_counter()
     result = run_with_retry(flaky, policy=policy, clock=clock)
-    elapsed_wall = time.perf_counter() - started_wall
     assert result == "ok"
     assert flaky.calls == 4
-    # 10 + 20 + 40 simulated seconds of backoff...
+    # 10 + 20 + 40 simulated seconds of backoff, and no wall sleep at all
     assert clock.now() == pytest.approx(70.0)
-    # ...in (much) less than one wall second
-    assert elapsed_wall < 1.0
 
 
 def test_exhaustion_chains_the_last_failure():

@@ -88,9 +88,20 @@ def test_counter_snapshot_from_telemetry(space):
     from_stats = counter_snapshot(space.manager.stats)
     from_telemetry = counter_snapshot(snapshot(space))
     # the two sources agree wherever the telemetry carries the counter
-    for name, value in from_telemetry.items():
-        assert from_stats[name] == value
+    assert from_telemetry == from_stats
     assert from_telemetry["swap.out.count"] == 1
+
+
+def test_every_counter_is_a_field_of_both_sources():
+    from dataclasses import fields
+
+    from repro.core.manager import ManagerStats
+    from repro.stats import COUNTER_NAMES, SpaceTelemetry
+
+    for source in (ManagerStats, SpaceTelemetry):
+        names = {field.name for field in fields(source)}
+        missing = set(COUNTER_NAMES.values()) - names
+        assert not missing, f"{source.__name__} lacks {sorted(missing)}"
 
 
 def test_counter_snapshot_passes_mappings_through():
