@@ -13,23 +13,17 @@ Run:  pytest benchmarks/test_async_sched.py --benchmark-only
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
-from repro.bench import async_sched
-from repro.bench.runner import failed_gates
+from repro.bench import runner
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_async.json"
 
 
 def test_async_sched(benchmark):
-    report = benchmark.pedantic(
-        lambda: async_sched.run_async_bench(async_sched.AsyncBenchConfig.quick()),
+    failed = benchmark.pedantic(
+        lambda: runner.run_one("async_sched", quick=True, output=str(OUTPUT)),
         rounds=1,
         iterations=1,
     )
-    print()
-    print(async_sched.format_table(report))
-    text = report.to_json()
-    OUTPUT.write_text(text + "\n", encoding="utf-8")
-    assert [str(gate) for gate in failed_gates(async_sched, json.loads(text))] == []
+    assert [str(gate) for gate in failed] == []

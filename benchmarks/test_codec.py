@@ -12,23 +12,17 @@ Run:  pytest benchmarks/test_codec.py --benchmark-only
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
-from repro.bench import codec
-from repro.bench.runner import failed_gates
+from repro.bench import runner
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_codec.json"
 
 
 def test_codec_wall_floor(benchmark):
-    report = benchmark.pedantic(
-        lambda: codec.run_codec_bench(codec.CodecBenchConfig.quick()),
+    failed = benchmark.pedantic(
+        lambda: runner.run_one("codec", quick=True, output=str(OUTPUT)),
         rounds=1,
         iterations=1,
     )
-    print()
-    print(codec.format_table(report))
-    text = report.to_json()
-    OUTPUT.write_text(text + "\n", encoding="utf-8")
-    assert [str(gate) for gate in failed_gates(codec, json.loads(text))] == []
+    assert [str(gate) for gate in failed] == []

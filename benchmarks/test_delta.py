@@ -13,23 +13,17 @@ Run:  pytest benchmarks/test_delta.py --benchmark-only
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
-from repro.bench import delta
-from repro.bench.runner import failed_gates
+from repro.bench import runner
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_delta.json"
 
 
 def test_delta_swap(benchmark):
-    report = benchmark.pedantic(
-        lambda: delta.run_delta_bench(delta.DeltaBenchConfig.quick()),
+    failed = benchmark.pedantic(
+        lambda: runner.run_one("delta", quick=True, output=str(OUTPUT)),
         rounds=1,
         iterations=1,
     )
-    print()
-    print(delta.format_table(report))
-    text = report.to_json()
-    OUTPUT.write_text(text + "\n", encoding="utf-8")
-    assert [str(gate) for gate in failed_gates(delta, json.loads(text))] == []
+    assert [str(gate) for gate in failed] == []

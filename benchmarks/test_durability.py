@@ -12,23 +12,17 @@ Run:  pytest benchmarks/test_durability.py --benchmark-only
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
-from repro.bench import durability
-from repro.bench.runner import failed_gates
+from repro.bench import runner
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_durability.json"
 
 
 def test_durability(benchmark):
-    report = benchmark.pedantic(
-        lambda: durability.run_durability(durability.DurabilityConfig.quick()),
+    failed = benchmark.pedantic(
+        lambda: runner.run_one("durability", quick=True, output=str(OUTPUT)),
         rounds=1,
         iterations=1,
     )
-    print()
-    print(durability.format_table(report))
-    text = report.to_json()
-    OUTPUT.write_text(text + "\n", encoding="utf-8")
-    assert [str(gate) for gate in failed_gates(durability, json.loads(text))] == []
+    assert [str(gate) for gate in failed] == []

@@ -12,23 +12,17 @@ Run:  pytest benchmarks/test_swap_hotpath.py --benchmark-only
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
-from repro.bench import hotpath
-from repro.bench.runner import failed_gates
+from repro.bench import runner
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_swap_hotpath.json"
 
 
 def test_swap_hotpath(benchmark):
-    report = benchmark.pedantic(
-        lambda: hotpath.run_hotpath(hotpath.HotPathConfig.quick()),
+    failed = benchmark.pedantic(
+        lambda: runner.run_one("hotpath", quick=True, output=str(OUTPUT)),
         rounds=1,
         iterations=1,
     )
-    print()
-    print(hotpath.format_table(report))
-    text = report.to_json()
-    OUTPUT.write_text(text + "\n", encoding="utf-8")
-    assert [str(gate) for gate in failed_gates(hotpath, json.loads(text))] == []
+    assert [str(gate) for gate in failed] == []

@@ -12,23 +12,17 @@ Run:  pytest benchmarks/test_topology.py --benchmark-only
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
-from repro.bench import topology
-from repro.bench.runner import failed_gates
+from repro.bench import runner
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_topology.json"
 
 
 def test_topology(benchmark):
-    report = benchmark.pedantic(
-        lambda: topology.run_topology_bench(topology.TopologyBenchConfig.quick()),
+    failed = benchmark.pedantic(
+        lambda: runner.run_one("topology", quick=True, output=str(OUTPUT)),
         rounds=1,
         iterations=1,
     )
-    print()
-    print(topology.format_table(report))
-    text = report.to_json()
-    OUTPUT.write_text(text + "\n", encoding="utf-8")
-    assert [str(gate) for gate in failed_gates(topology, json.loads(text))] == []
+    assert [str(gate) for gate in failed] == []

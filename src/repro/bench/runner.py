@@ -146,6 +146,9 @@ class _Bench:
     #: ``(module, quick, seed or None, obs_path or None) -> report``
     run: Callable[[Any, bool, Optional[int], Optional[str]], Any]
     seeded: bool = True
+    #: the payload's ``observed`` flag records ``--obs`` (codec always
+    #: observes and carries no flag)
+    flags_observed: bool = True
 
 
 #: bench name (its module under ``repro.bench``) -> how the runner drives it
@@ -153,7 +156,7 @@ BENCHES: Dict[str, _Bench] = {
     "hotpath": _Bench("BENCH_swap_hotpath", _hotpath, seeded=False),
     "delta": _Bench("BENCH_delta", _delta, seeded=False),
     "durability": _Bench("BENCH_durability", _durability, seeded=False),
-    "codec": _Bench("BENCH_codec", _codec),
+    "codec": _Bench("BENCH_codec", _codec, flags_observed=False),
     "async_sched": _Bench("BENCH_async", _async_sched),
     "topology": _Bench("BENCH_topology", _topology),
     "tenancy": _Bench("BENCH_tenancy", _tenancy),
@@ -189,6 +192,11 @@ def run_one(
     print(f"wrote {output}")
     payload = json.loads(text)
     failed = failed_gates(bench, payload)
+    # with --obs the phase gates apply only to an observed payload, so
+    # a run that lost its observability must not pass them by skipping
+    observed = Gate("observed", "==", True)
+    if obs and spec.flags_observed and not observed.holds(payload):
+        failed.append(observed)
     for gate in failed:
         try:
             got = repr(gate.value(payload))

@@ -102,6 +102,20 @@ def test_phase_gates_apply_to_observed_payloads():
     assert "scenarios.baseline.phases contains 'encode'" in failed
 
 
+def test_durability_repairs_every_copy_the_dead_stores_held():
+    from repro.bench import durability
+
+    report = durability.run_durability(durability.DurabilityConfig.quick())
+    payload = json.loads(report.to_json())
+    assert [str(gate) for gate in failed_gates(durability, payload)] == []
+    one = payload["results"]["1"]
+    assert 0 < one["replicas_lost"] < one["clusters"]  # not every cluster
+    one["replicas_repaired"] -= 1
+    assert [str(gate) for gate in failed_gates(durability, payload)] == [
+        f"results.1.replicas_repaired == {one['replicas_lost']}"
+    ]
+
+
 def test_missing_value_fails_its_gate():
     assert not Gate("a.b", "==", 1).holds({"a": {}})
     assert not Gate("a.0", ">", 0).holds({"a": []})
@@ -139,6 +153,19 @@ def test_runner_passes_a_clean_payload(monkeypatch, tmp_path, capsys):
     assert runner.main(["tenancy", "--output", str(output)]) == 0
     assert "tenancy: no gate(s) failed" in capsys.readouterr().out
     assert json.loads(output.read_text()) == golden.load("tenancy")
+
+
+def test_runner_fails_an_obs_run_whose_payload_is_not_observed(
+    monkeypatch, tmp_path, capsys
+):
+    _stub(monkeypatch, golden.load("tenancy"))  # observed: false
+    argv = ["tenancy", "--output", str(tmp_path / "tenancy.json"), "--obs",
+            "--obs-output", str(tmp_path / "tenancy_obs.jsonl")]
+    assert runner.main(argv) == 1
+    assert (
+        "FAILED gate tenancy: observed == True (got False)"
+        in capsys.readouterr().out
+    )
 
 
 @pytest.mark.parametrize(
