@@ -24,6 +24,7 @@ GOLDENS = {
     "delta": "delta",
     "codec": "codec",
     "async_sched": "async",
+    "durability": "durability",
     "tenancy": "tenancy",
     "scenarios": "scenarios",
 }

@@ -5,14 +5,15 @@ with its file under ``tests/golden/`` (wall-clock keys removed on both
 sides).  Together with the hot-path and scenario identity tests these
 cover every swap-out route: metadata-only no-op, drop-clean, reship,
 text and binary delta, delta-to-full fallback, compress-local,
-degrade-pool and fleet admission denial.
+degrade-pool and fleet admission denial.  The durability replay adds
+ship and scrub-repair under store kills.
 """
 
 from __future__ import annotations
 
 import json
 
-from repro.bench import async_sched, codec, delta, tenancy
+from repro.bench import async_sched, codec, delta, durability, tenancy
 from tests import golden
 
 
@@ -29,6 +30,13 @@ def test_codec_bench_sim_fields_match_golden():
 def test_async_bench_matches_golden():
     report = async_sched.run_async_bench(async_sched.AsyncBenchConfig.quick(seed=1))
     assert golden.sim_only(json.loads(report.to_json())) == golden.load("async")
+
+
+def test_durability_bench_matches_golden():
+    report = durability.run_durability(durability.DurabilityConfig.quick())
+    assert golden.sim_only(json.loads(report.to_json())) == golden.load(
+        "durability"
+    )
 
 
 def test_tenancy_bench_matches_golden():

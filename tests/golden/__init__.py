@@ -29,6 +29,7 @@ BENCHES: Dict[str, List[str]] = {
     "delta": ["delta", "--quick"],
     "codec": ["codec", "--quick"],
     "async": ["async_sched", "--quick"],
+    "durability": ["durability", "--quick"],
     "tenancy": ["tenancy", "--quick"],
     "scenarios": ["scenarios", "--quick", "--seed", "1"],
 }
