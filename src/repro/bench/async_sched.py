@@ -10,16 +10,17 @@ re-ships per fault, against five Bluetooth-class stores.
 
 Three scenarios on byte-identical workloads:
 
-* ``sync``   — the legacy blocking fault path: every fault stalls for
-  the victim ships *and* the demand fetch, serially;
+* ``sync``   — the blocking fault path of the serial scheduler every
+  manager starts with: every fault stalls for the victim ships *and*
+  the demand fetch, serially;
 * ``async``  — the scheduler with one channel per store and prefetching
   on: victim write-back overlaps in-flight fetches, and the prefetcher
   keeps the next clusters warm, so the residual stall is the slice of
   demand-transfer time nothing else could hide;
-* ``serial`` — the scheduler clamped to ``channels=1, prefetch=off``,
-  which must be **bit-identical** to ``sync`` (same stats, same clock,
-  same epochs, same heap) — the report carries a ``sync_equivalent``
-  flag CI asserts.
+* ``serial`` — the scheduler explicitly enabled at ``channels=1,
+  prefetch=off``, which must be **bit-identical** to ``sync`` (same
+  stats, same clock, same epochs, same heap) — the report carries a
+  ``sync_equivalent`` flag CI asserts.
 
 Headline: p95 fault-stall reduction (simulated seconds an access was
 blocked on a reload), asserted ≥ 2x by CI across seeds, with the
@@ -210,8 +211,8 @@ class AsyncBenchReport:
 def _build_space(config: AsyncBenchConfig) -> Tuple[Space, SimulatedClock, list]:
     """Space + stores + fully swapped-out ring, identical per scenario.
 
-    The prep phase runs entirely on the legacy path (the scheduler, when
-    a scenario uses one, is enabled only after), so every scenario
+    The prep phase runs entirely on the default serial scheduler (a
+    scenario's own scheduler is enabled only after), so every scenario
     starts the chase from the same simulated instant and store state.
     Resilience is on so placement spreads replicas across all five
     stores — without the spread every cluster would land on the same
@@ -281,17 +282,18 @@ def run_scenario(
     obs_path: str | None = None,
     obs_append: bool = True,
 ) -> ScenarioResult:
-    """One chase.  ``channels=None`` means no scheduler (legacy path)."""
+    """One chase.  ``channels=None`` keeps the manager's default serial
+    scheduler, whose ``sched_*`` fields the result leaves at zero."""
     space, clock, links = _build_space(config)
     manager = space.manager
     obs = manager.enable_observability() if observe else None
-    sched = None
     if channels is not None:
-        sched = manager.enable_async_scheduler(
+        manager.enable_async_scheduler(
             channels=channels,
             prefetch=prefetch,
             prefetch_depth=config.prefetch_depth,
         )
+    sched = manager.sched
 
     plan = _chase_plan(config)
     node: Any = space.roots()["head"]
@@ -304,8 +306,7 @@ def run_scenario(
         if manager.stats.swap_ins > faults_before:
             stalls.append(clock.now() - before)
         node = node.alt if jump else node.next
-    if sched is not None:
-        sched.drain()
+    sched.drain()
     wall_s = time.perf_counter() - wall_started
 
     phases: Dict[str, Dict[str, float]] = {}
@@ -331,7 +332,7 @@ def run_scenario(
         link_seconds=sum(link.stats.seconds_charged for link in links),
         digest=_digest_of(space, clock),
     )
-    if sched is not None:
+    if channels is not None:
         sstats = sched.stats
         result.sched_demand_fetches = sstats.demand_fetches
         result.sched_prefetch_issued = sstats.prefetch_issued
@@ -419,8 +420,8 @@ def gates(payload: Dict[str, Any]) -> Iterator[Gate]:
     # >=2x lower p95 (the fault-stall SLO floor) and mean fault stall
     yield Gate("reductions.p95_fault_stall", ">=", 2.0)
     yield Gate("reductions.mean_fault_stall", ">=", 2.0)
-    # channels=1 + prefetch=off is bit-identical to the legacy synchronous
-    # path: same clock, stats, heap and event stream digest
+    # an explicit channels=1 + prefetch=off scheduler is bit-identical to
+    # the default one: same clock, stats, heap and event stream digest
     yield Gate("sync_equivalent", "==", True)
     yield Gate("scenarios.serial.digest", "==", sync["digest"])
     # the speculation story is real and honestly accounted: hits landed,

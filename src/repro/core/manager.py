@@ -46,6 +46,7 @@ from repro.comm.transport import compress_body, compress_payload
 from repro.core.fastpath import DeltaChain, FastPathConfig, FastPathState
 from repro.core.interfaces import SwapStore
 from repro.core.replacement import ReplacementObject, SwapLocation
+from repro.core.sched import AsyncSchedConfig, AsyncSwapScheduler, Fetched
 from repro.core.swap_cluster import SwapCluster, SwapClusterState
 from repro.errors import (
     AllStoresUnreachableError,
@@ -279,10 +280,6 @@ class SwappingManager:
         #: then mirrors when ``replication_factor`` > 1).
         self._bindings: Dict[Sid, List[SwapStore]] = {}
         self._loading: set[Sid] = set()
-        #: sid -> (digest, document) decoded straight from binary wire
-        #: frames during the fetch+verify pass; ``swap_in`` consumes the
-        #: entry instead of re-decoding the canonical text.
-        self._bin_decoded: Dict[Sid, Tuple[str, Any]] = {}
         #: Keep the stored XML after a successful swap-in (versioning /
         #: reconciliation use, paper Section 3 "set-aside").
         self.keep_swapped_copies = False
@@ -314,10 +311,10 @@ class SwappingManager:
         #: Optional degrade ladder (see :mod:`repro.core.degrade`).
         #: ``None`` = no pressure assessment anywhere on the hot path.
         self.ladder: Optional[Any] = None
-        #: Optional event-driven swap scheduler (see
-        #: :mod:`repro.core.sched`).  ``None`` = the classic blocking
-        #: fault path.
-        self.sched: Optional[Any] = None
+        #: The swap scheduler (see :mod:`repro.core.sched`): every fault
+        #: fetch, ship and post-reload drop goes through it.  Serial (one
+        #: channel, no prefetch) = the paper's synchronous fault path.
+        self.sched = self._serial_scheduler()
         #: Optional sharded topology service (see :mod:`repro.topology`).
         #: ``None`` = placement stays per-key via ``plan_placement``.
         self.topology: Optional[Any] = None
@@ -446,12 +443,10 @@ class SwappingManager:
 
         The keyword shortcuts overlay the config:
         ``enable_async_scheduler(channels=1, prefetch=False)`` is the
-        serial mode that is bit-identical to the legacy blocking path.
-        Calling again replaces the scheduler (fresh op ledger and
-        prefetch history) with the new config.
+        serial mode every manager starts in.  Calling again replaces the
+        scheduler (fresh op ledger and prefetch history) with the new
+        config.
         """
-        from repro.core.sched import AsyncSchedConfig, AsyncSwapScheduler
-
         config = _overlay(
             config if config is not None else AsyncSchedConfig(),
             channels=channels,
@@ -462,14 +457,18 @@ class SwappingManager:
         return self.sched
 
     def disable_async_scheduler(self) -> None:
-        """Back to the blocking fault path.
+        """Back to the serial scheduler, the blocking fault path.
 
         In-flight op windows are drained first, so simulated reality
-        owes nothing when the scheduler goes away.
+        owes nothing when the asynchronous scheduler goes away.
         """
-        if self.sched is not None:
-            self.sched.drain()
-            self.sched = None
+        self.sched.drain()
+        self.sched = self._serial_scheduler()
+
+    def _serial_scheduler(self) -> AsyncSwapScheduler:
+        return AsyncSwapScheduler(
+            self, AsyncSchedConfig(channels=1, prefetch=False)
+        )
 
     # -- topology ----------------------------------------------------------------
 
@@ -573,7 +572,7 @@ class SwappingManager:
             "fastpath": self.fastpath is not None,
             "obs": self.obs is not None,
             "degrade": self.ladder is not None,
-            "async_sched": self.sched is not None,
+            "async_sched": not self.sched.serial,
             "topology": self.topology is not None,
             "tenancy": self.tenant is not None,
         }
@@ -1272,7 +1271,7 @@ class SwappingManager:
         unless ``channel`` is off, its scheduler channel)."""
         with self._obs_span(
             "swap.out.store", device=holder.device_id, stage=stage
-        ), self._channel(holder) if channel else nullcontext():
+        ), self.sched.ship_channel(holder) if channel else nullcontext():
             self._store_payload(
                 holder, payload.key, payload.text, sid, payload.wire
             )
@@ -1317,7 +1316,7 @@ class SwappingManager:
             try:
                 with self._obs_span(
                     "swap.out.delta.store", device=holder.device_id
-                ), self._channel(holder, kind="delta"):
+                ), self.sched.ship_channel(holder, kind="delta"):
                     self._run(ship, holder, sid, op_name="store-delta")
                 return "delta"
             except (
@@ -1473,22 +1472,6 @@ class SwappingManager:
         )
         return location
 
-    def _channel(self, holder: Any, kind: str = "ship"):
-        """A scheduler channel for ``holder``'s link (no-op when serial).
-
-        With the async scheduler active the ship rides its channel pool
-        as a SHIP/DELTA-SHIP op (and, in serial mode, delegates back to
-        exactly the legacy behavior); otherwise the fast path's own
-        pipeline scheduler — or plain inline execution — applies.
-        """
-        if self.sched is not None:
-            return self.sched.ship_channel(holder, kind)
-        fastpath = self.fastpath
-        scheduler = fastpath.scheduler if fastpath is not None else None
-        if scheduler is None:
-            return nullcontext()
-        return scheduler.channel(getattr(holder, "_link", None))
-
     def _drop_copies(
         self, holders: Iterable[SwapStore], keys: Iterable[str]
     ) -> None:
@@ -1541,10 +1524,9 @@ class SwappingManager:
         cluster.replacement = replacement
         cluster.swap_out_count += 1
         self._bindings[sid] = stored_on
-        if self.sched is not None:
-            # any speculative payload buffered for this cluster predates
-            # the epoch that just shipped: it can never be consumed
-            self.sched.invalidate(sid, "swap-out")
+        # any speculative payload buffered for this cluster predates the
+        # epoch that just shipped: it can never be consumed
+        self.sched.invalidate(sid, "swap-out")
         return bytes_freed
 
     # -- swap-in ---------------------------------------------------------------------
@@ -1591,68 +1573,40 @@ class SwappingManager:
         stall_started = space.clock.now()
         try:
             resilience = self.resilience
-            xml_text: Optional[str] = None
-            fetch_errors: List[str] = []
-            corrupt: Optional[CodecError] = None
-            corrupt_holders: List[SwapStore] = []
             if cached is not None:
-                xml_text = cached
+                fetched = Fetched(text=cached)
                 self.stats.swapin_cache_hits += 1
                 root_span.set_tag("source", "cache")
-            if xml_text is None and self.sched is not None:
-                (
-                    xml_text,
-                    source_device,
-                    attempt_index,
-                    fetch_errors,
-                    corrupt,
-                    corrupt_holders,
-                ) = self.sched.acquire(sid, location, holders, root_span)
-                if xml_text is not None:
-                    self._note_swapin_source(
-                        sid, holders, source_device, attempt_index, root_span
+            else:
+                fetched = self.sched.acquire(sid, location, holders, root_span)
+                if fetched.text is None:
+                    if fetched.corrupt is not None and all(
+                        "digest" in message for message in fetched.errors
+                    ):
+                        # every copy was retrieved but corrupted: a codec
+                        # problem, not an availability one
+                        raise fetched.corrupt
+                    raise AllStoresUnreachableError(
+                        f"cannot fetch {location.key} from any of "
+                        f"{len(holders)} device(s): "
+                        f"{'; '.join(fetched.errors)}"
                     )
-            elif xml_text is None:
-                for attempt_index, holder in enumerate(holders):
-                    candidate, error, corrupt_exc = self._fetch_one(
-                        holder, location, sid
-                    )
-                    if candidate is None:
-                        fetch_errors.append(error)
-                        if corrupt_exc is not None:
-                            corrupt = corrupt_exc
-                            corrupt_holders.append(holder)
-                        continue
-                    xml_text = candidate
-                    self._note_swapin_source(
-                        sid,
-                        holders,
-                        holder.device_id,
-                        attempt_index,
-                        root_span,
-                    )
-                    break
-            if xml_text is None:
-                if corrupt is not None and all(
-                    "digest" in message for message in fetch_errors
-                ):
-                    # every copy was retrieved but corrupted: a codec
-                    # problem, not an availability one
-                    raise corrupt
-                raise AllStoresUnreachableError(
-                    f"cannot fetch {location.key} from any of "
-                    f"{len(holders)} device(s): {'; '.join(fetch_errors)}"
+                self._note_swapin_source(
+                    sid,
+                    holders,
+                    fetched.source,
+                    fetched.attempt_index,
+                    root_span,
                 )
+            xml_text = fetched.text
             if self.validate_documents:
                 from repro.wire.schema import ensure_valid_cluster
 
                 ensure_valid_cluster(xml_text)
-            stashed = self._bin_decoded.pop(sid, None)
-            if stashed is not None and stashed[0] == location.digest:
-                # the fetch pass already decoded the binary frames (and
-                # verified the canonical digest) — nothing to re-decode
-                document = stashed[1]
-            else:
+            # a binary wire fetch already decoded (and verified) the
+            # document; a text copy is decoded here
+            document = fetched.document
+            if document is None:
                 with self._obs_span(
                     "swap.in.decode", sid=sid, objects=len(cluster.oids)
                 ):
@@ -1701,11 +1655,11 @@ class SwappingManager:
             cluster.swap_in_count += 1
             self.stats.swap_ins += 1
             self.stats.bytes_restored += total
-            if self.sched is not None:
-                # decode + install + proxy patch is the RELOAD-VERIFY
-                # stage of the op — pure CPU, completes at the instant
-                self.sched.note_reload(sid)
+            # decode + install + proxy patch is the RELOAD-VERIFY stage of
+            # the op — pure CPU, completes at the instant
+            self.sched.note_reload(sid)
 
+            corrupt_holders = fetched.corrupt_holders
             if corrupt_holders:
                 # a corrupt copy must never be retained for fast-path
                 # probes (contains cannot see bitrot): drop it now
@@ -1730,12 +1684,8 @@ class SwappingManager:
                 if fastpath is not None:
                     stale = fastpath.stale_keys(sid, location.key)
                     fastpath.chains.pop(sid, None)
-                if not self.keep_swapped_copies and not (
-                    self.sched is not None
-                    and self.sched.defer_drops(sid, stale, list(holders))
-                ):
-                    # without a scheduler channel to ride, drop inline
-                    self._drop_copies(holders, stale)
+                if not self.keep_swapped_copies:
+                    self.sched.drop_stale(sid, stale, list(holders))
             if fastpath is not None:
                 fastpath.cache.put(location.digest, xml_text)
                 # the replicas were just decoded from this payload: the
@@ -1902,9 +1852,13 @@ class SwappingManager:
 
     def _fetch_verified(
         self, holder: SwapStore, location: SwapLocation, sid: Sid
-    ) -> str:
+    ) -> Tuple[str, Any]:
         """Fetch + digest-check one copy; retried (transport failures
-        *and* transient corruption) under the resilience policy."""
+        *and* transient corruption) under the resilience policy.
+
+        Returns ``(text, document)``; ``document`` is the decoded
+        cluster when the copy travelled as binary frames, else ``None``.
+        """
         fastpath = self.fastpath
         fetch_wire = (
             getattr(holder, "fetch_wire", None)
@@ -1912,7 +1866,7 @@ class SwappingManager:
             else None
         )
 
-        def attempt() -> str:
+        def attempt() -> Tuple[str, Any]:
             if fetch_wire is not None:
                 raw, wire_codec = fetch_wire(location.key)
                 if wire_codec == "binary":
@@ -1931,7 +1885,7 @@ class SwappingManager:
                         f"device {holder.device_id} returned corrupted XML "
                         f"for {location.key} (digest mismatch)"
                     )
-            return text
+            return text, None
 
         return self._run(
             attempt,
@@ -1950,14 +1904,14 @@ class SwappingManager:
 
     def _decode_wire(
         self, raw: bytes, holder: SwapStore, location: SwapLocation, sid: Sid
-    ) -> str:
+    ) -> Tuple[str, Any]:
         """Decode binary wire frames fetched from ``holder``.
 
         One pass rebuilds the instances AND re-derives the canonical
         text + digest; comparing that digest against the trusted
         location record is the same integrity bar as ``verify_payload``
-        on the text path.  The decoded document is stashed so
-        ``swap_in`` does not decode the canonical text a second time.
+        on the text path.  Returns ``(text, document)`` so ``swap_in``
+        does not decode the canonical text a second time.
         """
         space = self._space
         cluster = space._clusters.get(sid)
@@ -1986,18 +1940,20 @@ class SwappingManager:
                 f"{location.key} (digest mismatch)"
             )
         self.stats.codec_binary_fetches += 1
-        self._bin_decoded[sid] = (digest, document)
-        return text
+        return text, document
 
     def _fetch_one(
         self, holder: SwapStore, location: SwapLocation, sid: Sid
-    ) -> tuple[Optional[str], Optional[str], Optional[CodecError]]:
-        """One demand-fetch attempt against one holder.
+    ) -> Tuple[
+        Optional[Tuple[str, Any]], Optional[str], Optional[CodecError]
+    ]:
+        """One demand-fetch attempt against one holder: the step each
+        FETCH op of :meth:`AsyncSwapScheduler.acquire` runs per holder.
 
         Wraps :meth:`_fetch_verified` with the per-attempt span, the
-        corrupt-copy quarantine, and the error-message formatting shared
-        by the legacy blocking loop and the async scheduler's FETCH ops.
-        Returns ``(text, error, corrupt)``: exactly one of ``text`` /
+        corrupt-copy quarantine, and the error-message formatting.
+        Returns ``(copy, error, corrupt)``: exactly one of ``copy`` (the
+        ``(text, document)`` pair of :meth:`_fetch_verified`) and
         ``error`` is set; ``corrupt`` carries the digest-mismatch
         exception when that is what failed the attempt.
         """
@@ -2296,9 +2252,8 @@ class SwappingManager:
         started = space.clock.now()
         if ladder is not None:
             rung = ladder.update()
-            if self.sched is not None:
-                # rising pressure reclaims speculative buffers first
-                self.sched.on_pressure(int(rung))
+            # rising pressure reclaims speculative buffers first
+            self.sched.on_pressure(int(rung))
         if self.tenant is not None:
             # fair-share victim selection under global store pressure:
             # before this tenant's victims ship, the fleet frees store
@@ -2443,8 +2398,7 @@ class SwappingManager:
         space = self._space
         location = cluster.location
         holders = self._bindings.pop(cluster.sid, [])
-        if self.sched is not None:
-            self.sched.invalidate(cluster.sid, "dropped")
+        self.sched.invalidate(cluster.sid, "dropped")
         if self.resilience is not None:
             self.resilience.placement.forget(cluster.sid)
         live = location.key if location is not None else None

@@ -27,19 +27,22 @@ The degrade ladder always wins: at or above the configured pressure
 rung, no new speculative fetches are issued and buffered speculative
 payloads are shed (:meth:`AsyncSwapScheduler.shed_speculative`).
 
-**Sync equivalence.**  With ``channels=1, prefetch=off``
-(:attr:`AsyncSchedConfig.serial`), every op executes inline on the
-global clock through exactly the legacy code path — same stats, same
-events, same clock, byte-identical results — while the op ledger still
-records the lifecycle.  This is the property the equivalence suite and
-``repro.bench.async_sched`` pin.
+**The serial scheduler is the default.**  Every manager owns a
+scheduler: with ``channels=1, prefetch=off``
+(:attr:`AsyncSchedConfig.serial`), the one it builds for itself, every
+op executes inline on the global clock — fetch attempts in holder
+order, ships through the fast path's pipeline channel (or inline),
+stale-copy drops on the fault — while the op ledger still records the
+lifecycle.  This is the paper's synchronous swap protocol, and every
+fault passes through :meth:`AsyncSwapScheduler.acquire` either way.
+The equivalence suite pins that an explicit serial scheduler equals
+the default one on every layer.
 """
 
 from __future__ import annotations
 
 import enum
 import heapq
-from collections import deque
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
@@ -104,6 +107,27 @@ class SwapOp:
     error: Optional[str] = None
 
 
+@dataclass
+class Fetched:
+    """What :meth:`AsyncSwapScheduler.acquire` resolved for one fault.
+
+    ``text`` is the verified canonical payload, or ``None`` when every
+    holder failed (``errors`` then names each failure, and ``corrupt``
+    carries the last digest mismatch).  ``document`` is the cluster the
+    binary wire decode already rebuilt, so the reload need not decode
+    ``text`` again.
+    """
+
+    text: Optional[str] = None
+    source: str = ""
+    attempt_index: int = 0
+    errors: List[str] = field(default_factory=list)
+    corrupt: Optional[Exception] = None
+    #: holders whose copy failed its digest check (already quarantined)
+    corrupt_holders: List[Any] = field(default_factory=list)
+    document: Any = None
+
+
 class CompletionQueue:
     """Clock-ordered op completions with stable ``(time, seq)`` ordering.
 
@@ -146,9 +170,6 @@ class AsyncSchedConfig:
     prefetch_depth: int = 3
     #: cap on buffered speculative payloads
     max_speculative: int = 8
-    #: fault-succession history window (per-edge counts decay by table
-    #: eviction, not time)
-    history: int = 128
     #: degrade-ladder rung at or above which prefetch stops and buffered
     #: speculative payloads are shed (1 = COMPRESS_LOCAL: the moment the
     #: ladder starts defending memory, speculation yields)
@@ -170,8 +191,8 @@ class AsyncSchedConfig:
 
     @property
     def serial(self) -> bool:
-        """True when the scheduler must be bit-identical to the legacy
-        synchronous path (one channel, no speculation)."""
+        """True for the synchronous fault path every manager starts
+        with (one channel, no speculation)."""
         return self.channels == 1 and not self.prefetch
 
 
@@ -239,17 +260,16 @@ class Prefetcher:
       name exactly the clusters a traversal can reach next (ranked by
       crossing recency, most recently crossed first);
     * **succession history** — which cluster actually faulted after
-      which (a bounded per-edge counter table), dominant once the
+      which (a per-edge counter table), dominant once the
       workload has looped once.
 
     ``predict`` breadth-first-expands the union of both signals so a
     deep ``prefetch_depth`` keeps a whole pointer-chase pipeline warm.
     """
 
-    def __init__(self, space: Any, history: int = 128) -> None:
+    def __init__(self, space: Any) -> None:
         self._space = space
         self._successors: Dict[Sid, Dict[Sid, int]] = {}
-        self._recent: deque = deque(maxlen=max(2, history))
         self._last_fault: Optional[Sid] = None
 
     def record_fault(self, sid: Sid) -> None:
@@ -259,7 +279,6 @@ class Prefetcher:
             counts = self._successors.setdefault(last, {})
             counts[sid] = counts.get(sid, 0) + 1
         self._last_fault = sid
-        self._recent.append(sid)
 
     def predict(self, sid: Sid, limit: int) -> List[Sid]:
         """Up to ``limit`` swapped clusters likely to fault next."""
@@ -321,12 +340,14 @@ class Prefetcher:
 
 
 class AsyncSwapScheduler:
-    """Turn the manager's blocking fault path into scheduled ops.
+    """The manager's fault and write-back path, as scheduled ops.
 
     Owned by a :class:`~repro.core.manager.SwappingManager`
-    (``manager.sched``, via ``enable_async_scheduler()``).  The manager
-    routes demand fetches through :meth:`acquire`, victim/mirror ships
-    through :meth:`ship_channel`, and reload completion through
+    (``manager.sched``: serial by default, replaced by
+    ``enable_async_scheduler()``).  The manager routes demand fetches
+    through :meth:`acquire`, victim/mirror ships through
+    :meth:`ship_channel`, post-reload stale-copy drops through
+    :meth:`drop_stale` and reload completion through
     :meth:`note_reload`; everything else (journal, placement,
     resilience retries, degrade routing) runs unchanged around the
     scheduled windows.
@@ -339,7 +360,7 @@ class AsyncSwapScheduler:
         self.queue = CompletionQueue()
         clock = manager._space.clock
         self.transfers = TransferScheduler(clock, config.channels)
-        self.prefetcher = Prefetcher(manager._space, config.history)
+        self.prefetcher = Prefetcher(manager._space)
         #: sid -> in-flight/buffered speculative FETCH op
         self._speculative: Dict[Sid, SwapOp] = {}
         #: sid -> (link, ChannelSlot) of the speculative booking, kept
@@ -413,18 +434,16 @@ class AsyncSwapScheduler:
         location: Any,
         holders: List[Any],
         root_span: Any,
-    ) -> Tuple[
-        Optional[str], str, int, List[str], Optional[Exception], List[Any]
-    ]:
+    ) -> Fetched:
         """Resolve a faulting cluster's payload as scheduled FETCH ops.
 
-        Returns ``(xml_text, source_device_id, attempt_index,
-        fetch_errors, corrupt, corrupt_holders)`` with exactly the
-        semantics of the legacy holder loop (corrupt copies quarantined,
-        transport errors collected for the failure message).  The global
-        clock advances only by the *residual* stall: demand transfer
-        time not hidden behind already-elapsed time, or ~0 when a
-        speculative fetch already landed the payload.
+        Holders are tried in order until one returns a verified copy
+        (corrupt copies are quarantined, transport errors collected for
+        the failure message).  The global clock advances only by the
+        *residual* stall: demand transfer time not hidden behind
+        already-elapsed time, or ~0 when a speculative fetch already
+        landed the payload.  Serial, every attempt runs inline on the
+        global clock, so the fault waits out each attempt's link time.
         """
         manager = self.manager
         clock = self.clock
@@ -444,16 +463,11 @@ class AsyncSwapScheduler:
             root_span.set_tag("sched", "prefetch-hit")
             self._apply_backpressure()
             self.retire_due()
-            return hit.payload, hit.device_id, 0, [], None, []
+            return Fetched(text=hit.payload, source=hit.device_id)
 
         op = self._new_op(SwapOpKind.FETCH, sid, key=location.key)
-        fetch_errors: List[str] = []
-        corrupt: Optional[Exception] = None
-        corrupt_holders: List[Any] = []
+        fetched = Fetched()
         not_before = now
-        text: Optional[str] = None
-        source = ""
-        used_index = 0
         complete = now
         if not self.serial and len(holders) > 1:
             # a demand miss should dodge radios clogged by in-flight
@@ -491,28 +505,27 @@ class AsyncSwapScheduler:
                 complete = clock.now()
             if candidate is None:
                 op.failovers += 1
-                fetch_errors.append(error)
+                fetched.errors.append(error)
                 if corrupt_exc is not None:
-                    corrupt = corrupt_exc
-                    corrupt_holders.append(holder)
+                    fetched.corrupt = corrupt_exc
+                    fetched.corrupt_holders.append(holder)
                 continue
-            text = candidate
-            source = holder.device_id
-            used_index = attempt_index
-            op.device_id = source
+            fetched.text, fetched.document = candidate
+            fetched.source = op.device_id = holder.device_id
+            fetched.attempt_index = attempt_index
             break
         op.start_s = now
         op.complete_s = complete
-        if text is None:
+        if fetched.text is None:
             op.state = SwapOpState.FAILED
-            op.error = "; ".join(fetch_errors) or "no holders"
+            op.error = "; ".join(fetched.errors) or "no holders"
             # the failed attempts really elapsed: simulated reality must
             # reflect them before the caller raises
             stall = max(0.0, complete - clock.now())
             if stall > 0.0:
                 clock.advance(stall)
             self.retire_due()
-            return None, "", 0, fetch_errors, corrupt, corrupt_holders
+            return fetched
         if not self.serial:
             # speculate on the *next* clusters while this fetch is still
             # in flight — issued at fault time, they overlap with the
@@ -528,7 +541,7 @@ class AsyncSwapScheduler:
         self._enqueue(op)
         self._apply_backpressure()
         self.retire_due()
-        return text, source, used_index, fetch_errors, corrupt, corrupt_holders
+        return fetched
 
     def _apply_backpressure(self) -> float:
         """Hold the fault until a transfer channel is idle (flow control).
@@ -550,7 +563,7 @@ class AsyncSwapScheduler:
 
     def _attempt_channel(self, holder: Any, not_before: float):
         """A transfer-channel window for one fetch attempt (inline when
-        serial — the legacy path, byte for byte)."""
+        serial)."""
         if self.serial:
             return nullcontext()
         return self.transfers.channel(
@@ -579,13 +592,8 @@ class AsyncSwapScheduler:
                 continue
             if self.transfers.cancel_remainder(spec_link, slot, now) <= 0.0:
                 continue
-            self._spec_slots.pop(sid, None)
-            op = self._speculative.pop(sid, None)
-            if op is not None:
-                op.state = SwapOpState.CANCELLED
-                op.error = "preempted"
-                op.payload = None
-                op.complete_s = now
+            del self._spec_slots[sid]
+            self._cancel_speculative(sid, "preempted").complete_s = now
             self.stats.prefetch_preempted += 1
 
     def _consume_speculative(
@@ -642,11 +650,7 @@ class AsyncSwapScheduler:
                 oldest = min(
                     self._speculative, key=lambda s: self._speculative[s].seq
                 )
-                demoted = self._speculative.pop(oldest)
-                demoted.state = SwapOpState.CANCELLED
-                demoted.error = "demoted"
-                demoted.payload = None
-                self._cancel_slot(oldest)
+                self._cancel_speculative(oldest, "demoted")
                 self.stats.prefetch_demoted += 1
             cluster = space._clusters.get(target)
             if (
@@ -732,24 +736,26 @@ class AsyncSwapScheduler:
         )
         self._enqueue(op)
 
-    def _cancel_slot(self, sid: Sid) -> None:
-        """Give an abandoned speculative booking's remaining link time
-        back to the scheduler (no-op when it already completed)."""
+    def _cancel_speculative(self, sid: Sid, reason: str) -> SwapOp:
+        """Abandon ``sid``'s speculative fetch: the op retires CANCELLED
+        with ``reason``, its buffered payload is released, and any link
+        time its booking has not used yet is given back."""
+        op = self._speculative.pop(sid)
+        op.state = SwapOpState.CANCELLED
+        op.error = reason
+        op.payload = None
         entry = self._spec_slots.pop(sid, None)
-        if entry is None:
-            return
-        link, slot = entry
-        if slot.end_s > self.clock.now():
-            self.transfers.cancel_remainder(link, slot, self.clock.now())
+        if entry is not None:
+            link, slot = entry
+            if slot.end_s > self.clock.now():
+                self.transfers.cancel_remainder(link, slot, self.clock.now())
+        return op
 
     def invalidate(self, sid: Sid, reason: str = "invalidated") -> None:
         """Drop a buffered speculative payload (the cluster re-swapped,
         was dropped, or its epoch moved): it can never be consumed."""
-        op = self._speculative.pop(sid, None)
-        if op is not None:
-            op.state = SwapOpState.CANCELLED
-            op.error = reason
-            self._cancel_slot(sid)
+        if sid in self._speculative:
+            self._cancel_speculative(sid, reason)
             self.stats.prefetch_waste += 1
 
     def shed_speculative(self, reason: str = "pressure") -> int:
@@ -760,12 +766,8 @@ class AsyncSwapScheduler:
         window is aborted so the radios free up too.
         """
         shed = len(self._speculative)
-        for sid, op in list(self._speculative.items()):
-            op.state = SwapOpState.CANCELLED
-            op.error = reason
-            op.payload = None
-            self._cancel_slot(sid)
-        self._speculative.clear()
+        for sid in list(self._speculative):
+            self._cancel_speculative(sid, reason)
         self.stats.prefetch_cancelled += shed
         return shed
 
@@ -780,9 +782,9 @@ class AsyncSwapScheduler:
     def ship_channel(self, holder: Any, kind: str = "ship") -> Iterator[None]:
         """A scheduled window for one victim/mirror ship.
 
-        In serial mode this is exactly the legacy behavior (the fast
-        path's own pipeline channel, or plain inline execution); the op
-        ledger still records the lifecycle either way.  A ship that
+        In serial mode the ship runs on the fast path's own pipeline
+        channel, or inline without one; the op ledger still records the
+        lifecycle either way.  A ship that
         raises is marked FAILED and re-raised unchanged — the caller's
         failover logic is none the wiser.
         """
@@ -830,22 +832,23 @@ class AsyncSwapScheduler:
         self._enqueue(op)
         self.retire_due()
 
-    def defer_drops(
+    def drop_stale(
         self, sid: Sid, keys: List[str], holders: List[Any]
-    ) -> bool:
-        """Schedule post-reload stale-copy drops as INVALIDATE ops.
+    ) -> None:
+        """Drop the post-reload stale copies of ``sid``.
 
         After a successful reload the remote copies are dead weight
-        (epochs prevent reuse) — but the legacy path pays one serial
+        (epochs prevent reuse).  Serial, they are dropped inline
+        (:meth:`~repro.core.manager.SwappingManager._drop_copies`): one
         control round-trip per replica *on the fault*, which on slow
-        radios dwarfs the fetch itself.  Here each drop rides a transfer
-        channel: per-link busy windows still serialize it against any
-        in-flight fetch from the same store, the faulting thread never
-        waits.  Returns ``False`` in serial mode — the caller must drop
-        inline, byte-identical to legacy.
+        radios dwarfs the fetch itself.  Otherwise each drop is an
+        INVALIDATE op riding a transfer channel: per-link busy windows
+        still serialize it against any in-flight fetch from the same
+        store, and the faulting thread never waits.
         """
         if self.serial:
-            return False
+            self.manager._drop_copies(holders, keys)
+            return
         for key in keys:
             for holder in holders:
                 op = self._new_op(
@@ -872,7 +875,6 @@ class AsyncSwapScheduler:
                 self.stats.stale_drops += 1
                 self._enqueue(op)
         self.retire_due()
-        return True
 
     # -- reload ------------------------------------------------------------
 

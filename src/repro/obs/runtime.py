@@ -269,8 +269,8 @@ class Observability:
             self.metrics.gauge("link.pipeline.saved_s").set(
                 pipeline.saved_s
             )
-        sched = getattr(self._manager, "sched", None)
-        if sched is not None:
+        sched = self._manager.sched
+        if not sched.serial:
             sstats = sched.stats
             self.metrics.gauge("sched.queue.depth").set(len(sched.queue))
             self.metrics.counter("sched.queue.max_depth").set_to(

@@ -526,12 +526,11 @@ class TopologyService:
         """Invalidate in-flight async swap ops routed at the old primary."""
         sched = self._manager.sched
         resilience = self._manager.resilience
-        if sched is None or resilience is None:
+        if resilience is None:
             return
-        in_flight = getattr(sched, "_speculative", {})
         for sid in resilience.placement.records():
             if self.shard_of(sid) == shard_id:
-                if sid in in_flight:
+                if sid in sched._speculative:
                     self.stats.ops_invalidated += 1
                 sched.invalidate(sid, reason=f"reparent: {reason}")
 

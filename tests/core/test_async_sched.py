@@ -82,10 +82,16 @@ def test_invalidate_turns_a_buffered_speculation_into_waste():
     _ = handle.get_value()  # one fault: speculation for the next clusters
     assert sched.in_flight_fetches() > 0
     target = next(iter(sched._speculative))
+    op = sched._speculative[target]
     waste_before = sched.stats.prefetch_waste
     sched.invalidate(target, "swap-out")
     assert sched.stats.prefetch_waste == waste_before + 1
     assert target not in sched._speculative
+    # the cancelled op may wait on the completion queue: it must not
+    # keep the payload text alive there
+    assert op.state is SwapOpState.CANCELLED
+    assert op.error == "swap-out"
+    assert op.payload is None
 
 
 def test_stale_keyed_buffer_is_waste_not_a_hit():
@@ -223,11 +229,37 @@ def test_serial_mode_is_inert():
     assert values == list(range(30))
     assert sched.stats.prefetch_issued == 0
     assert sched.stats.backpressure_stall_s == 0.0
-    # deferred drops refuse serial mode: the caller must drop inline
-    assert sched.defer_drops(0, ["k"], []) is False
+    # serial stale-copy drops run inline: no INVALIDATE op is scheduled
+    dropped = []
+
+    class Holder:
+        device_id = "h"
+
+        def drop(self, key):
+            dropped.append(key)
+
+    sched.drop_stale(0, ["k"], [Holder()])
+    assert dropped == ["k"]
+    assert sched.stats.stale_drops == 0
     # the op ledger still records lifecycles (fetches, reloads, drops)
     assert sched.stats.ops_issued > 0
     assert sched.stats.demand_fetches > 0
+
+
+def test_every_fault_goes_through_the_default_serial_scheduler():
+    space, _clock, handle = _space()
+    manager = space.manager
+    assert manager.fastpath is None
+    values = chain_values(handle)
+    assert values == list(range(30))
+    sched = manager.sched
+    assert sched.serial
+    assert manager.stats.swap_ins > 0
+    assert (
+        sched.stats.demand_fetches
+        == sched.stats.reloads
+        == manager.stats.swap_ins
+    )
 
 
 def test_config_rejects_degenerate_values():
@@ -242,7 +274,8 @@ def test_disable_drains_and_detaches():
     space.manager.enable_async_scheduler(channels=3, prefetch=True)
     _ = handle.get_value()
     space.manager.disable_async_scheduler()
-    assert space.manager.sched is None
+    assert space.manager.sched.serial
+    assert not space.manager.feature_flags()["async_sched"]
     # nothing left in flight: the disable drained the channel pool
     values = chain_values(handle)
     assert values == list(range(30))
