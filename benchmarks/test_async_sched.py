@@ -1,12 +1,13 @@
 """Async swap scheduler benchmark — overlap faults, prefetch, write-back.
 
 Runs the fetch-bound pointer-chase workload (replication factor 3 over
-five simulated 700 Kbps Bluetooth stores) three ways — legacy
-synchronous, event-driven async, and the async scheduler forced serial
-(``channels=1, prefetch=off``) — writes ``BENCH_async.json``, and
-asserts the bench's gates (:func:`repro.bench.async_sched.gates`): at
-least a 2x reduction in p95 fault-stall seconds, and the serial
-configuration byte-identical to the legacy path.
+five simulated 700 Kbps Bluetooth stores) three ways — the default
+synchronous (serial) scheduler, event-driven async, and a scheduler
+explicitly enabled serial (``channels=1, prefetch=off``) — writes
+``BENCH_async.json``, and asserts the bench's gates
+(:func:`repro.bench.async_sched.gates`): at least a 2x reduction in p95
+fault-stall seconds, and the explicit serial configuration
+byte-identical to the default.
 
 Run:  pytest benchmarks/test_async_sched.py --benchmark-only
 """
