@@ -6,14 +6,17 @@ sides).  Together with the hot-path and scenario identity tests these
 cover every swap-out route: metadata-only no-op, drop-clean, reship,
 text and binary delta, delta-to-full fallback, compress-local,
 degrade-pool and fleet admission denial.  The durability replay adds
-ship and scrub-repair under store kills.
+ship and scrub-repair under store kills.  The obs replays require the
+metric records of each ``--quick --obs`` dump to match ``obs_metrics.json``.
 """
 
 from __future__ import annotations
 
 import json
 
-from repro.bench import async_sched, codec, delta, durability, tenancy
+import pytest
+
+from repro.bench import async_sched, codec, delta, durability, runner, tenancy
 from tests import golden
 
 
@@ -42,3 +45,16 @@ def test_durability_bench_matches_golden():
 def test_tenancy_bench_matches_golden():
     report = tenancy.run_bench((1,), quick=True)
     assert golden.sim_only(report) == golden.load("tenancy")
+
+
+@pytest.mark.parametrize("name", golden.OBS_BENCHES)
+def test_obs_metrics_match_golden(name, tmp_path):
+    obs_output = tmp_path / "obs.jsonl"
+    runner.run_one(
+        name,
+        quick=True,
+        obs=True,
+        output=str(tmp_path / "report.json"),
+        obs_output=str(obs_output),
+    )
+    assert golden.metric_records(obs_output) == golden.load("obs_metrics")[name]

@@ -9,6 +9,9 @@ The identity tests replay the same workloads and require full-dict
 equality against these files, so a refactor that changes any simulated
 behaviour fails them.  ``routes.json`` holds the ordered side-effect
 trace of each swap-out route (see ``tests/core/test_swap_routes.py``).
+``obs_metrics.json`` holds, per bench in :data:`OBS_BENCHES`, the metric
+records of its ``--quick --obs`` dump in file order: the numbers the
+observability registry exports.
 
 Regenerate with ``PYTHONPATH=src python -m tests.golden`` — only when a
 change is *meant* to alter simulated behaviour, and say so in the change.
@@ -33,6 +36,18 @@ BENCHES: Dict[str, List[str]] = {
     "tenancy": ["tenancy", "--quick"],
     "scenarios": ["scenarios", "--quick", "--seed", "1"],
 }
+
+#: benches whose ``--quick --obs`` metric records make ``obs_metrics.json``
+#: (together: the sched, pipeline, topology and tenant-label series plus
+#: every ``ManagerStats`` counter)
+OBS_BENCHES = ("async_sched", "delta", "topology", "tenancy")
+
+
+def metric_records(path: Any) -> List[Dict[str, Any]]:
+    """The ``kind == "metric"`` records of an obs dump, in file order."""
+    from repro.obs.export import load_dump
+
+    return [record for record in load_dump(path) if record["kind"] == "metric"]
 
 
 def strip_wall(value: Any) -> Any:
