@@ -11,6 +11,7 @@ from repro.obs.metrics import (
     LATENCY_BUCKETS_S,
     MetricsRegistry,
 )
+from tests.helpers import build_chain, chain_values, make_space
 
 
 def test_counter_increments():
@@ -25,11 +26,27 @@ def test_counter_rejects_negative():
         Counter("c").inc(-1)
 
 
-def test_counter_set_to_never_goes_down():
-    counter = Counter("c")
-    counter.set_to(10)
-    counter.set_to(3)
-    assert counter.value == 10
+def test_absorbed_counters_follow_a_replaced_scheduler():
+    # a fresh scheduler starts from zeroed stats: the absorbed series
+    # must mirror the live count (a drop reads as a counter reset), not
+    # keep the old scheduler's total
+    space = make_space("stale")
+    handle = space.ingest(build_chain(40), cluster_size=5, root_name="h")
+    obs = space.manager.enable_observability()
+    sched = space.manager.enable_async_scheduler(channels=2, prefetch=True)
+    for _ in range(3):
+        for sid, cluster in sorted(space._clusters.items()):
+            if cluster.swappable() and cluster.oids:
+                space.manager.swap_out(sid)
+        chain_values(handle)
+    obs.refresh()
+    issued = obs.metrics.counter("sched.ops.issued")
+    assert issued.value == sched.stats.ops_issued == 96
+    sched = space.manager.enable_async_scheduler(channels=2, prefetch=True)
+    space.manager.swap_out(2)
+    chain_values(handle)
+    obs.refresh()
+    assert issued.value == sched.stats.ops_issued == 4
 
 
 def test_gauge_moves_both_ways():
