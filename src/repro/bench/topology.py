@@ -377,7 +377,7 @@ def run_cell_kill(
         events=(ChurnEvent(0.0, "", "kill_cell", cell=cell_name, lose_data=True),)
     )
     ChurnInjector(plan, clock).apply(stores)
-    reparents_before = topology.stats.reparents
+    reparents_before = space.manager.stats.shard_reparents
     repairs_before = topology.stats.repair_replicas
     started = clock.now()
     # the fleet notices the dead cell: detach strikes its replicas from
@@ -416,7 +416,7 @@ def run_cell_kill(
         cell=cell_name,
         clusters=len(sids),
         clusters_lost=lost,
-        reparents=topology.stats.reparents - reparents_before,
+        reparents=space.manager.stats.shard_reparents - reparents_before,
         recovery_s=recovery_s,
         replicas_repaired=topology.stats.repair_replicas - repairs_before,
         fully_replicated=full,

@@ -46,6 +46,7 @@ from typing import Any, Dict, Iterator, List, Optional
 
 from repro.clock import SimulatedClock
 from repro.comm.transport import SimulatedLink
+from repro.stats import metric
 
 
 @dataclass
@@ -53,14 +54,14 @@ class PipelineStats:
     """What pipelining did, in simulated seconds."""
 
     #: link operations run on a channel (successful or failed)
-    transfers: int = 0
+    transfers: int = metric("link.pipeline.transfers")
     #: :meth:`TransferScheduler.drain` calls that had in-flight work
-    barriers: int = 0
+    barriers: int = metric("link.pipeline.barriers")
     #: total channel occupancy of *successful* operations — what a
     #: serial schedule would have charged to the global clock
-    serial_s: float = 0.0
+    serial_s: float = metric("link.pipeline.serial_s", 0.0)
     #: what the drains actually advanced the global clock by
-    pipelined_s: float = 0.0
+    pipelined_s: float = metric("link.pipeline.pipelined_s", 0.0)
     #: channel operations whose body raised (interrupted ships)
     failed_transfers: int = 0
     #: channel occupancy of those failed operations — busy radio time

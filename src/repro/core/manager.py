@@ -80,6 +80,7 @@ from repro.events import (
 )
 from repro.ids import Sid, format_swap_key
 from repro.obs.trace import NULL_SPAN
+from repro.stats import ManagerStats
 from repro.wire.binary import (
     decode_cluster_binary,
     encode_cluster_binary,
@@ -206,67 +207,6 @@ _SHORT_REASONS = {
     "dropclean": "clean swap-out",
     "delta": "delta swap-out placement short",
 }
-
-
-@dataclass
-class ManagerStats:
-    swap_outs: int = 0
-    swap_ins: int = 0
-    drops: int = 0
-    bytes_shipped: int = 0
-    bytes_restored: int = 0
-    replicated_clusters: int = 0
-    mirror_writes: int = 0
-    mirror_failovers: int = 0
-    # -- resilience counters (all zero while resilience is disabled) --
-    retries: int = 0
-    failovers: int = 0
-    circuit_opens: int = 0
-    circuit_closes: int = 0
-    degraded_swaps: int = 0
-    journal_recoveries: int = 0
-    # -- durability counters (placement / scrub; zero while disabled) --
-    replicas_repaired: int = 0
-    replicas_quarantined: int = 0
-    scrub_ticks: int = 0
-    scrub_bytes_repaired: int = 0
-    orphans_collected: int = 0
-    repromotions: int = 0
-    journal_truncated: int = 0
-    placement_recoveries: int = 0
-    # -- fast-path counters (all zero while the fast path is disabled) --
-    encode_calls: int = 0
-    fastpath_noops: int = 0
-    fastpath_reships: int = 0
-    swapin_cache_hits: int = 0
-    # -- wire-codec counters (zero unless ``codec="binary"`` is on) --
-    codec_binary_ships: int = 0
-    codec_binary_fetches: int = 0
-    codec_fallbacks: int = 0
-    # -- delta swap counters (all zero while ``config.delta`` is off) --
-    fastpath_delta_ships: int = 0
-    fastpath_delta_fallbacks: int = 0
-    fastpath_delta_compactions: int = 0
-    delta_bytes_shipped: int = 0
-    delta_bytes_saved: int = 0
-    # -- degrade-ladder counters (all zero while the ladder is off) --
-    ladder_escalations: int = 0
-    ladder_deescalations: int = 0
-    ladder_compress_local: int = 0
-    ladder_drop_clean: int = 0
-    oom_kills: int = 0
-    oom_kills_foreground: int = 0
-    # -- topology counters (all zero while topology is disabled) --
-    shard_reparents: int = 0
-    cell_outages: int = 0
-    cell_recoveries: int = 0
-    topology_rebuilds: int = 0
-    # -- fleet/tenancy counters (all zero while no tenant is bound) --
-    fleet_admission_denials: int = 0
-    fleet_reclaim_evictions: int = 0
-    fleet_reclaim_bytes: int = 0
-    fleet_config_updates: int = 0
-    tenant_pressure_bumps: int = 0
 
 
 class SwappingManager:
@@ -2046,7 +1986,6 @@ class SwappingManager:
                 [entry.key],
             )
             resilience.journal.abort(entry)
-            resilience.journal.stats.recoveries += 1
             self.stats.journal_recoveries += 1
             recovered += 1
         return recovered
@@ -2124,7 +2063,6 @@ class SwappingManager:
             for device_id in suspects:
                 record.replicas[device_id] = ReplicaState.SUSPECT
             self._bindings[sid] = holders
-            resilience.placement.stats.recoveries += 1
             self.stats.placement_recoveries += 1
             rebuilt += 1
         return rebuilt

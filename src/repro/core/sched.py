@@ -50,6 +50,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 from repro.comm.pipeline import TransferScheduler
 from repro.errors import TransportError, UnknownKeyError
 from repro.ids import Sid
+from repro.stats import metric
 from repro.wire.canonical import verify_payload
 
 
@@ -200,41 +201,41 @@ class AsyncSchedConfig:
 class SchedStats:
     """What asynchronous scheduling did (simulated seconds throughout)."""
 
-    ops_issued: int = 0
-    demand_fetches: int = 0
+    ops_issued: int = metric("sched.ops.issued")
+    demand_fetches: int = metric("sched.fetch.demand")
     #: simulated seconds faults actually stalled on demand fetches
-    demand_stall_s: float = 0.0
+    demand_stall_s: float = metric("sched.stall.demand_s", 0.0)
     #: simulated seconds faults stalled waiting for an in-flight
     #: speculative fetch to land (usually ~0)
-    hit_stall_s: float = 0.0
+    hit_stall_s: float = metric("sched.stall.hit_s", 0.0)
     #: stall seconds the overlap removed vs a serial schedule
-    stall_saved_s: float = 0.0
-    prefetch_issued: int = 0
-    prefetch_hits: int = 0
+    stall_saved_s: float = metric("sched.stall.saved_s", 0.0)
+    prefetch_issued: int = metric("sched.prefetch.issued")
+    prefetch_hits: int = metric("sched.prefetch.hits")
     #: speculative payloads fetched but never consumed (invalidated by a
     #: re-swap-out / drop, or stale-keyed at consume time)
-    prefetch_waste: int = 0
+    prefetch_waste: int = metric("sched.prefetch.waste")
     #: speculative payloads shed under pressure (the ladder won)
-    prefetch_cancelled: int = 0
+    prefetch_cancelled: int = metric("sched.prefetch.cancelled")
     #: in-flight speculative transfers aborted mid-window because a
     #: demand fetch needed the radio (their remaining link time was
     #: given back — demand always preempts speculation)
-    prefetch_preempted: int = 0
+    prefetch_preempted: int = metric("sched.prefetch.preempted")
     #: speculative payloads demoted to make room for fresher predictions
     #: (buffered longest without being touched)
-    prefetch_demoted: int = 0
+    prefetch_demoted: int = metric("sched.prefetch.demoted")
     #: speculative fetch attempts that failed in flight (no retries —
     #: speculation is not worth a backoff loop)
     prefetch_failed: int = 0
-    writebacks: int = 0
+    writebacks: int = metric("sched.writeback.ships")
     #: stale-copy invalidations taken off the fault path and onto
     #: transfer channels (each was a serial control round-trip before)
-    stale_drops: int = 0
+    stale_drops: int = metric("sched.drops.stale")
     #: simulated seconds faults waited for a free channel (flow control:
     #: the price of keeping the deferred-I/O backlog bounded)
-    backpressure_stall_s: float = 0.0
+    backpressure_stall_s: float = metric("sched.stall.backpressure_s", 0.0)
     reloads: int = 0
-    max_queue_depth: int = 0
+    max_queue_depth: int = metric("sched.queue.max_depth")
 
     @property
     def waste_ratio(self) -> float:

@@ -34,6 +34,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.profile import PhaseProfiler, format_breakdown
 from repro.obs.trace import NULL_SPAN, Span, Tracer, span_tree
+from repro.stats import COUNTER_NAMES, metric_fields
 
 
 @dataclass(frozen=True)
@@ -218,25 +219,31 @@ class Observability:
         tenant = getattr(self._manager, "tenant", None)
         return tenant.tenant_id if tenant is not None else None
 
-    def refresh(self) -> None:
-        """Absorb the legacy ``ManagerStats`` counters (dot-named via
-        :data:`repro.stats.COUNTER_NAMES`) and current gauges into the
-        registry.  Called before every export/snapshot."""
-        from repro.stats import counter_snapshot
+    def _absorb(self, stats: Any) -> None:
+        """Mirror the metric-tagged fields of ``stats`` (see
+        :func:`repro.stats.metric`) into the registry: an ``int`` field
+        as a counter, a ``float`` field as a gauge."""
+        for spec in metric_fields(type(stats)):
+            value = getattr(stats, spec.name)
+            if isinstance(spec.default, float):
+                self.metrics.gauge(spec.metadata["metric"]).set(value)
+            else:
+                self.metrics.counter(spec.metadata["metric"]).set_to(value)
 
-        counters = counter_snapshot(self._manager.stats)
-        for name, value in counters.items():
-            self.metrics.counter(name).set_to(value)
+    def refresh(self) -> None:
+        """Mirror the live stats into the registry: the tagged fields of
+        ``ManagerStats`` and of the scheduler, pipeline and topology
+        stats, then the gauges computed from live state.  Called before
+        every export/snapshot."""
+        stats = self._manager.stats
+        self._absorb(stats)
         label = self.tenant_label()
         if label is not None:
-            # the same ManagerStats swap counters, re-registered under
-            # the tenant label.  ``set_to`` keeps the copy idempotent —
-            # repeated refreshes never double-count, and the global
-            # series above stay the single source of truth.
-            for name, value in counters.items():
+            # the swap counters again, under the tenant label
+            for name, attribute in COUNTER_NAMES.items():
                 if name.startswith("swap."):
                     self.metrics.counter(f"tenant.{label}.{name}").set_to(
-                        value
+                        getattr(stats, attribute)
                     )
         heap = self._space.heap
         self.metrics.gauge("heap.used.bytes").set(heap.used)
@@ -245,7 +252,6 @@ class Observability:
         self.metrics.gauge("fastpath.cache.bytes").set(
             fastpath.cache.used_bytes if fastpath is not None else 0
         )
-        stats = self._manager.stats
         if stats.swap_outs:
             hits = stats.fastpath_noops + stats.fastpath_reships
             self.metrics.gauge("fastpath.cache.hit_ratio").set(
@@ -253,69 +259,16 @@ class Observability:
             )
         scheduler = getattr(fastpath, "scheduler", None)
         if scheduler is not None:
-            pipeline = scheduler.stats
-            self.metrics.counter("link.pipeline.transfers").set_to(
-                pipeline.transfers
-            )
-            self.metrics.counter("link.pipeline.barriers").set_to(
-                pipeline.barriers
-            )
-            self.metrics.gauge("link.pipeline.serial_s").set(
-                pipeline.serial_s
-            )
-            self.metrics.gauge("link.pipeline.pipelined_s").set(
-                pipeline.pipelined_s
-            )
+            self._absorb(scheduler.stats)
             self.metrics.gauge("link.pipeline.saved_s").set(
-                pipeline.saved_s
+                scheduler.stats.saved_s
             )
         sched = self._manager.sched
         if not sched.serial:
-            sstats = sched.stats
+            self._absorb(sched.stats)
             self.metrics.gauge("sched.queue.depth").set(len(sched.queue))
-            self.metrics.counter("sched.queue.max_depth").set_to(
-                sstats.max_queue_depth
-            )
-            self.metrics.counter("sched.ops.issued").set_to(sstats.ops_issued)
-            self.metrics.counter("sched.fetch.demand").set_to(
-                sstats.demand_fetches
-            )
             self.metrics.gauge("sched.inflight.fetches").set(
                 sched.in_flight_fetches()
-            )
-            self.metrics.counter("sched.writeback.ships").set_to(
-                sstats.writebacks
-            )
-            self.metrics.counter("sched.drops.stale").set_to(
-                sstats.stale_drops
-            )
-            self.metrics.counter("sched.prefetch.issued").set_to(
-                sstats.prefetch_issued
-            )
-            self.metrics.counter("sched.prefetch.hits").set_to(
-                sstats.prefetch_hits
-            )
-            self.metrics.counter("sched.prefetch.waste").set_to(
-                sstats.prefetch_waste
-            )
-            self.metrics.counter("sched.prefetch.cancelled").set_to(
-                sstats.prefetch_cancelled
-            )
-            self.metrics.counter("sched.prefetch.preempted").set_to(
-                sstats.prefetch_preempted
-            )
-            self.metrics.counter("sched.prefetch.demoted").set_to(
-                sstats.prefetch_demoted
-            )
-            self.metrics.gauge("sched.stall.demand_s").set(
-                sstats.demand_stall_s
-            )
-            self.metrics.gauge("sched.stall.hit_s").set(sstats.hit_stall_s)
-            self.metrics.gauge("sched.stall.backpressure_s").set(
-                sstats.backpressure_stall_s
-            )
-            self.metrics.gauge("sched.stall.saved_s").set(
-                sstats.stall_saved_s
             )
             self.metrics.gauge("sched.overlap.ratio").set(
                 sched.overlap_ratio()
@@ -350,30 +303,12 @@ class Observability:
             self.metrics.gauge("slo.alloc_stall.p95_s").set(allocs.p95())
         topology = getattr(self._manager, "topology", None)
         if topology is not None:
-            tstats = topology.stats
+            self._absorb(topology.stats)
             self.metrics.gauge("topology.shards").set(
                 topology.shard_table.num_shards
             )
             self.metrics.gauge("topology.cells.live_fraction").set(
                 topology.live_cell_fraction()
-            )
-            self.metrics.counter("topology.reparent.noops").set_to(
-                tstats.reparent_noops
-            )
-            self.metrics.counter("topology.reads.partial").set_to(
-                tstats.partial_reads
-            )
-            self.metrics.counter("topology.ops.invalidated").set_to(
-                tstats.ops_invalidated
-            )
-            self.metrics.counter("topology.repair.replicas").set_to(
-                tstats.repair_replicas
-            )
-            self.metrics.counter("topology.repair.bytes").set_to(
-                tstats.repair_bytes
-            )
-            self.metrics.gauge("topology.reparent.last_latency_s").set(
-                tstats.last_reparent_latency_s
             )
         tenant = getattr(self._manager, "tenant", None)
         if tenant is not None:

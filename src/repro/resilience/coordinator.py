@@ -7,7 +7,7 @@ the :class:`~repro.resilience.journal.SwapJournal`, and the lazily
 created local fallback pool.  The manager stays in charge of the swap
 protocol; this class answers "run this store operation robustly" and
 "may I talk to this device right now", emitting resilience events and
-bumping :class:`~repro.core.manager.ManagerStats` counters as it goes.
+bumping :class:`~repro.stats.ManagerStats` counters as it goes.
 """
 
 from __future__ import annotations

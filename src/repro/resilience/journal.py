@@ -62,7 +62,6 @@ class JournalStats:
     begins: int = 0
     commits: int = 0
     aborts: int = 0
-    recoveries: int = 0
     #: Completed entries pushed out of the bounded history — once
     #: truncated they can no longer seed placement recovery.
     truncated: int = 0

@@ -103,7 +103,6 @@ class PlacementStats:
     quarantines: int = 0
     suspects_marked: int = 0
     reactivations: int = 0
-    recoveries: int = 0
 
 
 class PlacementMap:

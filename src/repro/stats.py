@@ -8,89 +8,109 @@ Everything is read-only and cheap; nothing here touches the hot path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Union
+from dataclasses import dataclass, field, fields, replace
+from typing import Any, Dict, List, Mapping, Tuple, Union
 
 from repro.ids import ROOT_SID
 
-#: The one naming scheme for swap counters: dot-namespaced metric name
-#: -> attribute on :class:`~repro.core.manager.ManagerStats` *and*
-#: :class:`SpaceTelemetry` (the two carry the same counters under the
-#: same attribute names; entries missing on a given source are simply
-#: skipped).  ``repro.obs`` absorbs these names into its metrics
-#: registry, so greppable counters and exported metrics agree.
+
+def metric(name: str, default: float = 0) -> Any:
+    """A stats field exported under the dot-namespaced metric ``name``."""
+    return field(default=default, metadata={"metric": name})
+
+
+def metric_fields(cls: type) -> Tuple[Any, ...]:
+    """The fields of stats class ``cls`` declared with :func:`metric`."""
+    return tuple(spec for spec in fields(cls) if "metric" in spec.metadata)
+
+
+@dataclass
+class ManagerStats:
+    """The swapping manager's counters, each declared once with its
+    metric name; every other view of them is derived from here."""
+
+    swap_outs: int = metric("swap.out.count")
+    swap_ins: int = metric("swap.in.count")
+    drops: int = metric("swap.drop.count")
+    bytes_shipped: int = metric("swap.out.bytes")
+    bytes_restored: int = metric("swap.in.bytes")
+    replicated_clusters: int = metric("replication.cluster.count")
+    mirror_writes: int = metric("swap.mirror.writes")
+    mirror_failovers: int = metric("swap.mirror.failovers")
+    # -- resilience counters (all zero while resilience is disabled) --
+    retries: int = metric("resilience.retry.count")
+    failovers: int = metric("resilience.failover.count")
+    circuit_opens: int = metric("resilience.circuit.opens")
+    circuit_closes: int = metric("resilience.circuit.closes")
+    degraded_swaps: int = metric("resilience.degraded.count")
+    journal_recoveries: int = metric("resilience.journal.recoveries")
+    # -- durability counters (placement / scrub; zero while disabled) --
+    replicas_repaired: int = metric("durability.replica.repaired")
+    replicas_quarantined: int = metric("durability.replica.quarantined")
+    scrub_ticks: int = metric("durability.scrub.ticks")
+    scrub_bytes_repaired: int = metric("durability.scrub.bytes_repaired")
+    orphans_collected: int = metric("durability.orphans.collected")
+    repromotions: int = metric("durability.repromotions")
+    journal_truncated: int = metric("resilience.journal.truncated")
+    placement_recoveries: int = metric("durability.placement.recoveries")
+    # -- fast-path counters (all zero while the fast path is disabled) --
+    encode_calls: int = metric("fastpath.encode.count")
+    fastpath_noops: int = metric("fastpath.noop.count")
+    fastpath_reships: int = metric("fastpath.reship.count")
+    swapin_cache_hits: int = metric("fastpath.swapin.cache_hits")
+    # -- wire-codec counters (zero unless ``codec="binary"`` is on) --
+    codec_binary_ships: int = metric("fastpath.codec.binary_ships")
+    codec_binary_fetches: int = metric("fastpath.codec.binary_fetches")
+    codec_fallbacks: int = metric("fastpath.codec.fallbacks")
+    # -- delta swap counters (all zero while ``config.delta`` is off) --
+    fastpath_delta_ships: int = metric("fastpath.delta.ships")
+    fastpath_delta_fallbacks: int = metric("fastpath.delta.fallbacks")
+    fastpath_delta_compactions: int = metric("fastpath.delta.compactions")
+    delta_bytes_shipped: int = metric("fastpath.delta.bytes_shipped")
+    delta_bytes_saved: int = metric("fastpath.delta.bytes_saved")
+    # -- degrade-ladder counters (all zero while the ladder is off) --
+    ladder_escalations: int = metric("policy.ladder.escalations")
+    ladder_deescalations: int = metric("policy.ladder.deescalations")
+    ladder_compress_local: int = metric("policy.ladder.compress_local")
+    ladder_drop_clean: int = metric("policy.ladder.drop_clean")
+    oom_kills: int = metric("policy.oom.kills")
+    oom_kills_foreground: int = metric("policy.oom.kills_foreground")
+    # -- topology counters (all zero while topology is disabled) --
+    shard_reparents: int = metric("topology.reparent.count")
+    cell_outages: int = metric("topology.cell.outages")
+    cell_recoveries: int = metric("topology.cell.recoveries")
+    topology_rebuilds: int = metric("topology.rebuilds")
+    # -- fleet/tenancy counters (all zero while no tenant is bound) --
+    fleet_admission_denials: int = metric("fleet.admission.denials")
+    fleet_reclaim_evictions: int = metric("fleet.reclaim.evictions")
+    fleet_reclaim_bytes: int = metric("fleet.reclaim.bytes")
+    fleet_config_updates: int = metric("fleet.config.updates")
+    tenant_pressure_bumps: int = metric("tenant.pressure.bumps")
+
+
+#: Dot-namespaced metric name -> :class:`ManagerStats` attribute.
+#: ``repro.obs`` exports the counters under these names, so greppable
+#: counters and exported metrics agree.
 COUNTER_NAMES: Dict[str, str] = {
-    "swap.out.count": "swap_outs",
-    "swap.in.count": "swap_ins",
-    "swap.drop.count": "drops",
-    "swap.out.bytes": "bytes_shipped",
-    "swap.in.bytes": "bytes_restored",
-    "swap.mirror.writes": "mirror_writes",
-    "swap.mirror.failovers": "mirror_failovers",
-    "replication.cluster.count": "replicated_clusters",
-    "resilience.retry.count": "retries",
-    "resilience.failover.count": "failovers",
-    "resilience.circuit.opens": "circuit_opens",
-    "resilience.circuit.closes": "circuit_closes",
-    "resilience.degraded.count": "degraded_swaps",
-    "resilience.journal.recoveries": "journal_recoveries",
-    "resilience.journal.truncated": "journal_truncated",
-    "durability.replica.repaired": "replicas_repaired",
-    "durability.replica.quarantined": "replicas_quarantined",
-    "durability.scrub.ticks": "scrub_ticks",
-    "durability.scrub.bytes_repaired": "scrub_bytes_repaired",
-    "durability.orphans.collected": "orphans_collected",
-    "durability.repromotions": "repromotions",
-    "durability.placement.recoveries": "placement_recoveries",
-    "fastpath.encode.count": "encode_calls",
-    "fastpath.noop.count": "fastpath_noops",
-    "fastpath.reship.count": "fastpath_reships",
-    "fastpath.swapin.cache_hits": "swapin_cache_hits",
-    "fastpath.delta.ships": "fastpath_delta_ships",
-    "fastpath.delta.fallbacks": "fastpath_delta_fallbacks",
-    "fastpath.delta.compactions": "fastpath_delta_compactions",
-    "fastpath.delta.bytes_shipped": "delta_bytes_shipped",
-    "fastpath.delta.bytes_saved": "delta_bytes_saved",
-    "fastpath.codec.binary_ships": "codec_binary_ships",
-    "fastpath.codec.binary_fetches": "codec_binary_fetches",
-    "fastpath.codec.fallbacks": "codec_fallbacks",
-    "policy.ladder.escalations": "ladder_escalations",
-    "policy.ladder.deescalations": "ladder_deescalations",
-    "policy.ladder.compress_local": "ladder_compress_local",
-    "policy.ladder.drop_clean": "ladder_drop_clean",
-    "policy.oom.kills": "oom_kills",
-    "policy.oom.kills_foreground": "oom_kills_foreground",
-    "topology.reparent.count": "shard_reparents",
-    "topology.cell.outages": "cell_outages",
-    "topology.cell.recoveries": "cell_recoveries",
-    "topology.rebuilds": "topology_rebuilds",
-    "fleet.admission.denials": "fleet_admission_denials",
-    "fleet.reclaim.evictions": "fleet_reclaim_evictions",
-    "fleet.reclaim.bytes": "fleet_reclaim_bytes",
-    "fleet.config.updates": "fleet_config_updates",
-    "tenant.pressure.bumps": "tenant_pressure_bumps",
+    spec.metadata["metric"]: spec.name for spec in metric_fields(ManagerStats)
 }
 
-_MISSING = object()
-
-#: A counter source: live stats, a frozen telemetry snapshot, or an
+#: A counter source: live (or copied) manager stats, or an
 #: already-extracted name->value mapping.
-CounterSource = Union["SpaceTelemetry", Any, Mapping[str, int]]
+CounterSource = Union[ManagerStats, Mapping[str, int]]
 
 
 def counter_snapshot(source: CounterSource) -> Dict[str, int]:
     """The source's counters under their unified dot-namespaced names.
 
-    Accepts a ``ManagerStats``, a :class:`SpaceTelemetry`, or a mapping
-    produced by an earlier call (returned unchanged, copied)."""
+    Accepts a :class:`ManagerStats` or a mapping produced by an earlier
+    call (returned unchanged, copied)."""
     if isinstance(source, Mapping):
         return dict(source)
-    values: Dict[str, int] = {}
-    for name, attribute in COUNTER_NAMES.items():
-        value = getattr(source, attribute, _MISSING)
-        if value is not _MISSING:
-            values[name] = value
-    return values
+    return {
+        name: getattr(source, attribute)
+        for name, attribute in COUNTER_NAMES.items()
+    }
 
 
 def counter_diff(
@@ -137,65 +157,10 @@ class SpaceTelemetry:
     live_proxies: int
     roots: int
     tick: int
-    swap_outs: int
-    swap_ins: int
-    drops: int
-    bytes_shipped: int
-    bytes_restored: int
-    mirror_writes: int
-    mirror_failovers: int
     clusters: tuple  # of ClusterTelemetry
-    # -- resilience counters (zero while resilience is disabled) --
-    retries: int = 0
-    failovers: int = 0
-    circuit_opens: int = 0
-    circuit_closes: int = 0
-    degraded_swaps: int = 0
-    journal_recoveries: int = 0
-    journal_truncated: int = 0
-    # -- durability counters (zero without replication/scrubbing) --
-    replicated_clusters: int = 0
-    replicas_repaired: int = 0
-    replicas_quarantined: int = 0
-    scrub_ticks: int = 0
-    scrub_bytes_repaired: int = 0
-    orphans_collected: int = 0
-    repromotions: int = 0
-    placement_recoveries: int = 0
-    # -- fast-path counters (zero while the fast path is disabled) --
-    encode_calls: int = 0
-    fastpath_noops: int = 0
-    fastpath_reships: int = 0
-    swapin_cache_hits: int = 0
+    #: the manager's counters, copied at snapshot time
+    stats: ManagerStats
     payload_cache_bytes: int = 0
-    # -- delta swap counters (zero while config.delta is off) --
-    fastpath_delta_ships: int = 0
-    fastpath_delta_fallbacks: int = 0
-    fastpath_delta_compactions: int = 0
-    delta_bytes_shipped: int = 0
-    delta_bytes_saved: int = 0
-    # -- wire-codec counters (zero while codec="binary" is off) --
-    codec_binary_ships: int = 0
-    codec_binary_fetches: int = 0
-    codec_fallbacks: int = 0
-    # -- degrade-ladder counters (zero while the ladder is disabled) --
-    ladder_escalations: int = 0
-    ladder_deescalations: int = 0
-    ladder_compress_local: int = 0
-    ladder_drop_clean: int = 0
-    oom_kills: int = 0
-    oom_kills_foreground: int = 0
-    # -- topology counters (zero while topology is disabled) --
-    shard_reparents: int = 0
-    cell_outages: int = 0
-    cell_recoveries: int = 0
-    topology_rebuilds: int = 0
-    # -- fleet/tenancy counters (zero while no tenant is bound) --
-    fleet_admission_denials: int = 0
-    fleet_reclaim_evictions: int = 0
-    fleet_reclaim_bytes: int = 0
-    fleet_config_updates: int = 0
-    tenant_pressure_bumps: int = 0
 
     def resident_clusters(self) -> List[ClusterTelemetry]:
         return [record for record in self.clusters if record.state == "resident"]
@@ -234,7 +199,6 @@ def snapshot(space: Any) -> SpaceTelemetry:
                 ),
             )
         )
-    stats = manager.stats
     return SpaceTelemetry(
         space=space.name,
         heap_used=heap.used,
@@ -246,56 +210,8 @@ def snapshot(space: Any) -> SpaceTelemetry:
         live_proxies=space.live_proxy_count(),
         roots=len(space.root_names()),
         tick=space._tick,
-        swap_outs=stats.swap_outs,
-        swap_ins=stats.swap_ins,
-        drops=stats.drops,
-        bytes_shipped=stats.bytes_shipped,
-        bytes_restored=stats.bytes_restored,
-        mirror_writes=stats.mirror_writes,
-        mirror_failovers=stats.mirror_failovers,
         clusters=tuple(cluster_records),
-        retries=stats.retries,
-        failovers=stats.failovers,
-        circuit_opens=stats.circuit_opens,
-        circuit_closes=stats.circuit_closes,
-        degraded_swaps=stats.degraded_swaps,
-        journal_recoveries=stats.journal_recoveries,
-        journal_truncated=stats.journal_truncated,
-        replicated_clusters=stats.replicated_clusters,
-        replicas_repaired=stats.replicas_repaired,
-        replicas_quarantined=stats.replicas_quarantined,
-        scrub_ticks=stats.scrub_ticks,
-        scrub_bytes_repaired=stats.scrub_bytes_repaired,
-        orphans_collected=stats.orphans_collected,
-        repromotions=stats.repromotions,
-        placement_recoveries=stats.placement_recoveries,
-        encode_calls=stats.encode_calls,
-        fastpath_noops=stats.fastpath_noops,
-        fastpath_reships=stats.fastpath_reships,
-        swapin_cache_hits=stats.swapin_cache_hits,
-        fastpath_delta_ships=stats.fastpath_delta_ships,
-        fastpath_delta_fallbacks=stats.fastpath_delta_fallbacks,
-        fastpath_delta_compactions=stats.fastpath_delta_compactions,
-        delta_bytes_shipped=stats.delta_bytes_shipped,
-        delta_bytes_saved=stats.delta_bytes_saved,
-        codec_binary_ships=stats.codec_binary_ships,
-        codec_binary_fetches=stats.codec_binary_fetches,
-        codec_fallbacks=stats.codec_fallbacks,
-        ladder_escalations=stats.ladder_escalations,
-        ladder_deescalations=stats.ladder_deescalations,
-        ladder_compress_local=stats.ladder_compress_local,
-        ladder_drop_clean=stats.ladder_drop_clean,
-        oom_kills=stats.oom_kills,
-        oom_kills_foreground=stats.oom_kills_foreground,
-        shard_reparents=stats.shard_reparents,
-        cell_outages=stats.cell_outages,
-        cell_recoveries=stats.cell_recoveries,
-        topology_rebuilds=stats.topology_rebuilds,
-        fleet_admission_denials=stats.fleet_admission_denials,
-        fleet_reclaim_evictions=stats.fleet_reclaim_evictions,
-        fleet_reclaim_bytes=stats.fleet_reclaim_bytes,
-        fleet_config_updates=stats.fleet_config_updates,
-        tenant_pressure_bumps=stats.tenant_pressure_bumps,
+        stats=replace(manager.stats),
         payload_cache_bytes=(
             manager.fastpath.cache.used_bytes
             if getattr(manager, "fastpath", None) is not None
@@ -306,6 +222,7 @@ def snapshot(space: Any) -> SpaceTelemetry:
 
 def format_report(telemetry: SpaceTelemetry) -> str:
     """A human-readable multi-line report."""
+    stats = telemetry.stats
     lines = [
         f"space {telemetry.space!r}: heap {telemetry.heap_used}/"
         f"{telemetry.heap_capacity} ({telemetry.heap_ratio:.0%}, "
@@ -313,85 +230,85 @@ def format_report(telemetry: SpaceTelemetry) -> str:
         f"  objects: {telemetry.resident_objects} resident, "
         f"{telemetry.swapped_objects} swapped; proxies: "
         f"{telemetry.live_proxies}; roots: {telemetry.roots}",
-        f"  swaps: {telemetry.swap_outs} out / {telemetry.swap_ins} in / "
-        f"{telemetry.drops} dropped; shipped {telemetry.bytes_shipped} B, "
-        f"restored {telemetry.bytes_restored} B"
+        f"  swaps: {stats.swap_outs} out / {stats.swap_ins} in / "
+        f"{stats.drops} dropped; shipped {stats.bytes_shipped} B, "
+        f"restored {stats.bytes_restored} B"
         + (
-            f"; mirrors: {telemetry.mirror_writes} writes, "
-            f"{telemetry.mirror_failovers} failovers"
-            if telemetry.mirror_writes or telemetry.mirror_failovers
+            f"; mirrors: {stats.mirror_writes} writes, "
+            f"{stats.mirror_failovers} failovers"
+            if stats.mirror_writes or stats.mirror_failovers
             else ""
         ),
     ]
     if (
-        telemetry.retries
-        or telemetry.failovers
-        or telemetry.circuit_opens
-        or telemetry.degraded_swaps
-        or telemetry.journal_recoveries
+        stats.retries
+        or stats.failovers
+        or stats.circuit_opens
+        or stats.degraded_swaps
+        or stats.journal_recoveries
     ):
         lines.append(
-            f"  resilience: {telemetry.retries} retries, "
-            f"{telemetry.failovers} failovers, "
-            f"{telemetry.circuit_opens} circuit-opens, "
-            f"{telemetry.degraded_swaps} degraded, "
-            f"{telemetry.journal_recoveries} journal recoveries"
+            f"  resilience: {stats.retries} retries, "
+            f"{stats.failovers} failovers, "
+            f"{stats.circuit_opens} circuit-opens, "
+            f"{stats.degraded_swaps} degraded, "
+            f"{stats.journal_recoveries} journal recoveries"
         )
     if (
-        telemetry.scrub_ticks
-        or telemetry.replicas_repaired
-        or telemetry.replicas_quarantined
-        or telemetry.repromotions
-        or telemetry.orphans_collected
+        stats.scrub_ticks
+        or stats.replicas_repaired
+        or stats.replicas_quarantined
+        or stats.repromotions
+        or stats.orphans_collected
     ):
         lines.append(
-            f"  durability: {telemetry.scrub_ticks} scrub ticks, "
-            f"{telemetry.replicas_repaired} repaired "
-            f"({telemetry.scrub_bytes_repaired} B), "
-            f"{telemetry.replicas_quarantined} quarantined, "
-            f"{telemetry.repromotions} re-promoted, "
-            f"{telemetry.orphans_collected} orphans collected"
+            f"  durability: {stats.scrub_ticks} scrub ticks, "
+            f"{stats.replicas_repaired} repaired "
+            f"({stats.scrub_bytes_repaired} B), "
+            f"{stats.replicas_quarantined} quarantined, "
+            f"{stats.repromotions} re-promoted, "
+            f"{stats.orphans_collected} orphans collected"
         )
     if (
-        telemetry.fastpath_noops
-        or telemetry.fastpath_reships
-        or telemetry.swapin_cache_hits
+        stats.fastpath_noops
+        or stats.fastpath_reships
+        or stats.swapin_cache_hits
         or telemetry.payload_cache_bytes
     ):
         lines.append(
-            f"  fast path: {telemetry.fastpath_noops} no-ops, "
-            f"{telemetry.fastpath_reships} re-ships, "
-            f"{telemetry.swapin_cache_hits} cached reloads; "
-            f"{telemetry.encode_calls} encodes, "
+            f"  fast path: {stats.fastpath_noops} no-ops, "
+            f"{stats.fastpath_reships} re-ships, "
+            f"{stats.swapin_cache_hits} cached reloads; "
+            f"{stats.encode_calls} encodes, "
             f"cache {telemetry.payload_cache_bytes} B"
         )
-    if telemetry.fastpath_delta_ships or telemetry.fastpath_delta_compactions:
+    if stats.fastpath_delta_ships or stats.fastpath_delta_compactions:
         lines.append(
-            f"  delta: {telemetry.fastpath_delta_ships} ships, "
-            f"{telemetry.fastpath_delta_fallbacks} fallbacks, "
-            f"{telemetry.fastpath_delta_compactions} compactions; "
-            f"shipped {telemetry.delta_bytes_shipped} B, "
-            f"saved {telemetry.delta_bytes_saved} B"
+            f"  delta: {stats.fastpath_delta_ships} ships, "
+            f"{stats.fastpath_delta_fallbacks} fallbacks, "
+            f"{stats.fastpath_delta_compactions} compactions; "
+            f"shipped {stats.delta_bytes_shipped} B, "
+            f"saved {stats.delta_bytes_saved} B"
         )
-    if telemetry.codec_binary_ships or telemetry.codec_fallbacks:
+    if stats.codec_binary_ships or stats.codec_fallbacks:
         lines.append(
-            f"  codec: {telemetry.codec_binary_ships} binary ships, "
-            f"{telemetry.codec_binary_fetches} binary fetches, "
-            f"{telemetry.codec_fallbacks} fallbacks to XML"
+            f"  codec: {stats.codec_binary_ships} binary ships, "
+            f"{stats.codec_binary_fetches} binary fetches, "
+            f"{stats.codec_fallbacks} fallbacks to XML"
         )
     if (
-        telemetry.ladder_escalations
-        or telemetry.ladder_compress_local
-        or telemetry.ladder_drop_clean
-        or telemetry.oom_kills
+        stats.ladder_escalations
+        or stats.ladder_compress_local
+        or stats.ladder_drop_clean
+        or stats.oom_kills
     ):
         lines.append(
-            f"  ladder: {telemetry.ladder_escalations} escalations / "
-            f"{telemetry.ladder_deescalations} de-escalations; "
-            f"{telemetry.ladder_compress_local} compress-local, "
-            f"{telemetry.ladder_drop_clean} drop-clean, "
-            f"{telemetry.oom_kills} OOM kills "
-            f"({telemetry.oom_kills_foreground} foreground)"
+            f"  ladder: {stats.ladder_escalations} escalations / "
+            f"{stats.ladder_deescalations} de-escalations; "
+            f"{stats.ladder_compress_local} compress-local, "
+            f"{stats.ladder_drop_clean} drop-clean, "
+            f"{stats.oom_kills} OOM kills "
+            f"({stats.oom_kills_foreground} foreground)"
         )
     for record in telemetry.clusters:
         label = "sc-0 (roots)" if record.sid == ROOT_SID else f"sc-{record.sid}"

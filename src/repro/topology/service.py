@@ -35,6 +35,7 @@ from repro.resilience.placement import (
     placement_group_of,
     plan_placement,
 )
+from repro.stats import metric
 from repro.topology.shard import ShardTable, shard_of
 
 
@@ -96,19 +97,20 @@ class TopologyConfig:
 
 @dataclass
 class TopologyStats:
-    reparents: int = 0
-    reparent_noops: int = 0
-    cells_down: int = 0
-    cells_recovered: int = 0
-    rebuilds: int = 0
-    partial_reads: int = 0
-    ops_invalidated: int = 0
-    last_reparent_latency_s: float = 0.0
+    """The service's own counters (reparents, cell outages/recoveries
+    and rebuilds are counted on ``ManagerStats``)."""
+
+    reparent_noops: int = metric("topology.reparent.noops")
+    partial_reads: int = metric("topology.reads.partial")
+    ops_invalidated: int = metric("topology.ops.invalidated")
+    last_reparent_latency_s: float = metric(
+        "topology.reparent.last_latency_s", 0.0
+    )
     total_reparent_latency_s: float = 0.0
     #: Replicas the scrubber shipped under topology routing (rebalance
     #: cost tracking for the bench).
-    repair_replicas: int = 0
-    repair_bytes: int = 0
+    repair_replicas: int = metric("topology.repair.replicas")
+    repair_bytes: int = metric("topology.repair.bytes")
 
 
 class TopologyService:
@@ -254,7 +256,6 @@ class TopologyService:
 
     def _mark_cell_down(self, cell: CellReplication, reason: str) -> List[int]:
         cell.state = CellState.DOWN
-        self.stats.cells_down += 1
         self._manager.stats.cell_outages += 1
         affected = [
             record.shard_id
@@ -279,7 +280,6 @@ class TopologyService:
 
     def _mark_cell_recovered(self, cell: CellReplication) -> None:
         cell.state = CellState.UP
-        self.stats.cells_recovered += 1
         self._manager.stats.cell_recoveries += 1
         self._space.bus.emit(
             CellRecoveredEvent(
@@ -502,7 +502,6 @@ class TopologyService:
         record.set_primary(winner)
         self._drain_shard_ops(shard_id, reason)
         latency = self._clock.now() - started
-        self.stats.reparents += 1
         self.stats.last_reparent_latency_s = latency
         self.stats.total_reparent_latency_s += latency
         self._manager.stats.shard_reparents += 1
@@ -701,7 +700,6 @@ class TopologyService:
             ):
                 reparented += 1
         self.rebalance()
-        self.stats.rebuilds += 1
         self._manager.stats.topology_rebuilds += 1
         return {
             "cells_partial": partial,

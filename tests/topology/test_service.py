@@ -160,7 +160,7 @@ class TestReparent:
         for _ in range(3):
             assert topology.reparent(0, reason="test") is False
         assert topology.stats.reparent_noops == 3
-        assert topology.stats.reparents == 0
+        assert space.manager.stats.shard_reparents == 0
 
     def test_election_ranks_by_failure_rate_not_net_success(self):
         space, stores, topology = fleet_space()
