@@ -7,7 +7,8 @@ cover every swap-out route: metadata-only no-op, drop-clean, reship,
 text and binary delta, delta-to-full fallback, compress-local,
 degrade-pool and fleet admission denial.  The durability replay adds
 ship and scrub-repair under store kills.  The obs replays require the
-metric records of each ``--quick --obs`` dump to match ``obs_metrics.json``.
+metric records of each ``--quick --obs`` dump to match ``obs_metrics.json``,
+and the perfbench prefix digests to match ``perfbench.json``.
 """
 
 from __future__ import annotations
@@ -58,3 +59,7 @@ def test_obs_metrics_match_golden(name, tmp_path):
         obs_output=str(obs_output),
     )
     assert golden.metric_records(obs_output) == golden.load("obs_metrics")[name]
+
+
+def test_perfbench_prefix_digests_match_golden():
+    assert golden.perfbench_digests() == golden.load("perfbench")

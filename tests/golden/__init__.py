@@ -11,7 +11,9 @@ behaviour fails them.  ``routes.json`` holds the ordered side-effect
 trace of each swap-out route (see ``tests/core/test_swap_routes.py``).
 ``obs_metrics.json`` holds, per bench in :data:`OBS_BENCHES`, the metric
 records of its ``--quick --obs`` dump in file order: the numbers the
-observability registry exports.
+observability registry exports.  ``perfbench.json`` holds, per
+workload and seed, the prefix digest ``perfbench/run.py`` prints as
+``fingerprint``.
 
 Regenerate with ``PYTHONPATH=src python -m tests.golden`` — only when a
 change is *meant* to alter simulated behaviour, and say so in the change.
@@ -41,6 +43,32 @@ BENCHES: Dict[str, List[str]] = {
 #: (together: the sched, pipeline, topology and tenant-label series plus
 #: every ``ManagerStats`` counter)
 OBS_BENCHES = ("async_sched", "delta", "topology", "tenancy")
+
+#: seeds of the perfbench prefix digests in ``perfbench.json``
+PERFBENCH_SEEDS = (1, 2)
+
+
+def perfbench_digest(name: str, seed: int) -> str:
+    """The prefix digest ``perfbench/run.py`` prints as ``fingerprint``:
+    one set-up of workload ``name``, its prefix ops, then the digest of
+    its fingerprint."""
+    from perfbench import run
+    from perfbench.workloads import WORKLOADS
+
+    workload = WORKLOADS[name]
+    state = workload.setup(seed)
+    run.Loop(workload, state).run(ops=workload.prefix_ops)
+    return run.digest(workload.fingerprint(state))
+
+
+def perfbench_digests() -> Dict[str, Dict[str, str]]:
+    """workload -> seed -> :func:`perfbench_digest`, for every workload."""
+    from perfbench.workloads import WORKLOADS
+
+    return {
+        name: {str(seed): perfbench_digest(name, seed) for seed in PERFBENCH_SEEDS}
+        for name in WORKLOADS
+    }
 
 
 def metric_records(path: Any) -> List[Dict[str, Any]]:

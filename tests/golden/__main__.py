@@ -4,7 +4,8 @@ Runs every bench in :data:`tests.golden.BENCHES` through
 ``python -m repro bench`` in a scratch directory and writes the
 wall-stripped result, then the metric records of the ``--quick --obs``
 dumps of :data:`tests.golden.OBS_BENCHES`, then the per-route swap-out
-traces of ``tests/core/test_swap_routes.py``.  A failed gate does not stop the
+traces of ``tests/core/test_swap_routes.py``, then the perfbench prefix
+digests.  A failed gate does not stop the
 regeneration (a wall gate can miss on a loaded host); it is reported.
 """
 
@@ -23,6 +24,7 @@ from tests.golden import (
     OBS_BENCHES,
     dump,
     metric_records,
+    perfbench_digests,
 )
 
 SRC = GOLDEN_DIR.parents[1] / "src"
@@ -65,6 +67,8 @@ def main() -> int:
 
     dump("routes", route_traces())
     print("wrote tests/golden/routes.json")
+    dump("perfbench", perfbench_digests())
+    print("wrote tests/golden/perfbench.json")
     return 0
 
 
