@@ -16,7 +16,7 @@ mutates a small fraction of each cluster between swap cycles:
 Both scenarios dirty the same ~10% of each cluster's members per cycle
 and replicate to the same ``replication_factor`` stores, so the
 comparison is apples-to-apples.  Reported per scenario: per-cycle
-simulated swap-out phase cost (the phase ends at ``scheduler.drain()``,
+simulated swap-out phase cost (the phase ends at ``manager.sched.drain()``,
 so pipelined transfers are fully paid inside the measured window),
 bytes carried across every link, and the delta/pipeline counters.
 ``python -m repro bench delta`` writes ``BENCH_delta.json`` and checks
@@ -246,9 +246,7 @@ def run_scenario(
         start = clock.now()
         for sid in sids:
             manager.swap_out(sid)
-        scheduler = manager.fastpath.scheduler
-        if scheduler is not None:
-            scheduler.drain()
+        manager.sched.drain()
         phase_costs.append(clock.now() - start)
         for sid in sids:
             manager.swap_in(sid)
@@ -261,7 +259,7 @@ def run_scenario(
             obs.export_jsonl(obs_path, label=f"delta:{name}", append=obs_append)
 
     stats = manager.stats
-    scheduler = manager.fastpath.scheduler
+    scheduler = manager.sched.transfers
     return ScenarioResult(
         name=name,
         cycles=config.cycles,

@@ -59,9 +59,9 @@ class FastPathConfig:
     #: Compaction threshold: cumulative delta bytes exceeding this
     #: fraction of the base payload size also force a full rewrite.
     delta_max_ratio: float = 1.0
-    #: Number of concurrent link channels for pipelined swap-out
-    #: (replica fan-out + encode/transfer overlap).  0 = serial
-    #: shipping exactly as before.
+    #: Link channels of the serial scheduler's pool, for replica
+    #: fan-out + encode/transfer overlap (an async scheduler's
+    #: ``channels`` win).  0 = serial shipping exactly as before.
     pipeline_channels: int = 0
     #: Wire codec to negotiate per store: ``"binary"`` opts into the
     #: length-prefixed framing of :mod:`repro.wire.binary` (digests stay
@@ -171,8 +171,8 @@ class FastPathState:
     negotiated_codec: Dict[str, Optional[str]] = field(default_factory=dict)
     #: sid -> delta chain currently standing on the replica stores.
     chains: Dict[Sid, DeltaChain] = field(default_factory=dict)
-    #: Pipelined transfer scheduler (set by the manager when
-    #: ``config.pipeline_channels > 0``; None = serial shipping).
+    #: The manager's channel pool, ``sched.transfers``, when
+    #: ``config.pipeline_channels > 0``; None otherwise.
     scheduler: Optional[object] = None
 
     def __post_init__(self) -> None:

@@ -303,9 +303,9 @@ class SwappingManager:
         Calling again replaces the state (fresh cache and retention
         tables) with the new ``config``.  The keyword shortcuts overlay
         the config: ``enable_fastpath(delta=True)`` turns on
-        object-granular delta swap-out, ``pipeline_channels=n`` attaches
-        a :class:`~repro.comm.pipeline.TransferScheduler` so replica
-        fan-out and encode/transfer overlap on ``n`` link channels.
+        object-granular delta swap-out, ``pipeline_channels=n`` gives
+        the serial scheduler's pool (``fastpath.scheduler``) ``n`` link
+        channels so replica fan-out and encode/transfer overlap.
         """
         config = _overlay(
             config if config is not None else FastPathConfig(),
@@ -313,12 +313,9 @@ class SwappingManager:
             pipeline_channels=pipeline_channels,
         )
         self.fastpath = FastPathState(config)
-        if config.pipeline_channels > 0:
-            from repro.comm.pipeline import TransferScheduler
-
-            self.fastpath.scheduler = TransferScheduler(
-                self._space.clock, config.pipeline_channels
-            )
+        self._install_scheduler(
+            self._serial_scheduler() if self.sched.serial else self.sched
+        )
         return self.fastpath
 
     def disable_fastpath(self) -> None:
@@ -328,6 +325,8 @@ class SwappingManager:
         ``None``, so this is safe at any point.
         """
         self.fastpath = None
+        if self.sched.serial:
+            self._install_scheduler(self._serial_scheduler())
 
     # -- degrade ladder ----------------------------------------------------------
 
@@ -385,7 +384,7 @@ class SwappingManager:
         ``enable_async_scheduler(channels=1, prefetch=False)`` is the
         serial mode every manager starts in.  Calling again replaces the
         scheduler (fresh op ledger and prefetch history) with the new
-        config.
+        config, after draining the one it replaces.
         """
         config = _overlay(
             config if config is not None else AsyncSchedConfig(),
@@ -393,22 +392,29 @@ class SwappingManager:
             prefetch=prefetch,
             prefetch_depth=prefetch_depth,
         )
-        self.sched = AsyncSwapScheduler(self, config)
-        return self.sched
+        return self._install_scheduler(AsyncSwapScheduler(self, config))
 
     def disable_async_scheduler(self) -> None:
-        """Back to the serial scheduler, the blocking fault path.
-
-        In-flight op windows are drained first, so simulated reality
-        owes nothing when the asynchronous scheduler goes away.
-        """
-        self.sched.drain()
-        self.sched = self._serial_scheduler()
+        """Back to the serial scheduler, the blocking fault path."""
+        self._install_scheduler(self._serial_scheduler())
 
     def _serial_scheduler(self) -> AsyncSwapScheduler:
         return AsyncSwapScheduler(
             self, AsyncSchedConfig(channels=1, prefetch=False)
         )
+
+    def _install_scheduler(self, sched: Any) -> AsyncSwapScheduler:
+        """Make ``sched`` the scheduler, draining the one it replaces so
+        simulated reality owes nothing, and its pool the fast path's."""
+        if sched is not self.sched:
+            self.sched.drain()
+            self.sched = sched
+        fastpath = self.fastpath
+        if fastpath is not None:
+            fastpath.scheduler = (
+                sched.transfers if fastpath.config.pipeline_channels else None
+            )
+        return sched
 
     # -- topology ----------------------------------------------------------------
 
@@ -1491,11 +1497,12 @@ class SwappingManager:
             # fastest admitted replica first: healthy circuits before
             # open ones, then best history, then lowest link latency
             holders = self.resilience.rank_replicas(holders)
+        if self.sched.serial and self.sched.transfers is not None:
+            # simulated reality must catch up with every pipelined write
+            # before anything is read back from the stores (an async
+            # scheduler's per-link windows order the fetch after them)
+            self.sched.transfers.drain()
         fastpath = self.fastpath
-        if fastpath is not None and fastpath.scheduler is not None:
-            # simulated reality must catch up with every scheduled write
-            # before anything is read back from the stores
-            fastpath.scheduler.drain()
         cached: Optional[str] = None
         if fastpath is not None and fastpath.config.serve_swap_in_from_cache:
             # the canonical payload may still be held locally; its digest

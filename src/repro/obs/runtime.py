@@ -257,13 +257,12 @@ class Observability:
             self.metrics.gauge("fastpath.cache.hit_ratio").set(
                 hits / stats.swap_outs
             )
-        scheduler = getattr(fastpath, "scheduler", None)
-        if scheduler is not None:
-            self._absorb(scheduler.stats)
-            self.metrics.gauge("link.pipeline.saved_s").set(
-                scheduler.stats.saved_s
-            )
         sched = self._manager.sched
+        if sched.transfers is not None:
+            self._absorb(sched.transfers.stats)
+            self.metrics.gauge("link.pipeline.saved_s").set(
+                sched.transfers.stats.saved_s
+            )
         if not sched.serial:
             self._absorb(sched.stats)
             self.metrics.gauge("sched.queue.depth").set(len(sched.queue))

@@ -3,8 +3,8 @@
 Each test builds a small fully-swapped-out pointer chain over simulated
 Bluetooth stores and walks it, checking one scheduler behavior at a
 time: speculation hits, the degrade ladder's veto, buffer demotion,
-waste accounting, backpressure, write-back overlap, and the serial
-mode's inertness.
+waste accounting, speculation's single attempt, backpressure,
+write-back overlap, and the serial mode's inertness.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ from repro.comm.transport import bluetooth_link
 from repro.core.sched import AsyncSchedConfig, SwapOpState
 from repro.core.space import Space
 from repro.devices.store import XmlStoreDevice
+from repro.errors import TransportError
+from repro.faults import FaultInjector, FaultPlan, FlakyStore
 from tests.helpers import build_chain, chain_values
 
 
@@ -118,6 +120,62 @@ def test_full_buffer_demotes_the_stalest_speculation():
     sched.drain()
     assert sched.stats.prefetch_demoted > 0
     assert len(sched._speculative) <= 1
+
+
+class _FailingFetches(FlakyStore):
+    """A :class:`FlakyStore` whose next ``failing[key]`` fetches of
+    ``key`` raise a transport error."""
+
+    def __init__(self, inner, injector) -> None:
+        super().__init__(inner, injector)
+        self.failing = {}
+
+    def fetch(self, key: str) -> str:
+        if self.failing.get(key):
+            self.failing[key] -= 1
+            raise TransportError(f"injected: fetch of {key} failed")
+        return super().fetch(key)
+
+
+def test_speculation_takes_one_attempt_and_demand_is_retried():
+    clock = SimulatedClock()
+    space = Space("sched", heap_capacity=1 << 20, clock=clock)
+    manager = space.manager
+    store = _FailingFetches(
+        XmlStoreDevice(
+            "p-0", capacity=1 << 20, link=bluetooth_link(clock, name="bt-0")
+        ),
+        FaultInjector(FaultPlan(), clock),
+    )
+    manager.add_store(store)
+    manager.enable_resilience()
+    handle = space.ingest(build_chain(30), cluster_size=5, root_name="h")
+    sids = sorted(
+        sid for sid, cluster in space._clusters.items()
+        if cluster.swappable() and cluster.oids
+    )
+    for sid in sids:
+        manager.swap_out(sid)
+    sched = manager.enable_async_scheduler(
+        channels=3, prefetch=True, prefetch_depth=1
+    )
+    predicted = space._clusters[sids[1]].location.key
+    # the speculative fetch and the first demand attempt both fail
+    store.failing[predicted] = 2
+
+    assert handle.get_value() == 0  # faults the head; speculates on the next
+    assert sched.stats.prefetch_issued == 1
+    assert sched.stats.prefetch_failed == 1
+    assert store.failing[predicted] == 1  # it fetched the predicted cluster
+    assert manager.stats.retries == 0  # speculation gets no retry loop
+    assert sids[1] not in sched._speculative
+
+    assert chain_values(handle) == list(range(30))
+    assert store.failing[predicted] == 0
+    # the demand fault for the predicted cluster retried its fetch
+    assert manager.stats.retries == 1
+    assert sched.stats.prefetch_failed == 1
+    space.verify_integrity()
 
 
 # -- the degrade ladder always wins ----------------------------------------
